@@ -427,7 +427,7 @@ func BenchmarkIncrementalApply(b *testing.B) {
 	events.SortByTime(all)
 	seedN := len(all) - len(all)/20 // hold back ~5% as the live tail
 	eng := core.NewEngine(core.DefaultConfig())
-	eng.ApplyBatch(all[:seedN])
+	eng.Seed(logstore.New(all[:seedN])) // the route the server boots by
 	tail := all[seedN:]
 	const delta = 16
 	b.ReportAllocs()

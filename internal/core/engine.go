@@ -1,6 +1,7 @@
 package core
 
 import (
+	"sort"
 	"time"
 
 	"hpcfail/internal/alps"
@@ -14,12 +15,31 @@ import (
 // Engine is the incremental diagnosis pipeline: it holds the live
 // corpus (logstore.Live), the per-node terminal/detection state, the
 // job table, the apid index, the degradation flags and a memo of every
-// diagnosis, and updates all of it per record batch in cost
-// proportional to the batch — not the corpus. Snapshot then assembles a
-// *Result that is value-identical (and therefore renders byte-
-// identical) to RunContextReport over a from-scratch store of the same
-// arrival sequence; the differential harness in the repo root proves
-// that equality after every batch.
+// diagnosis, and updates all of it per record batch. A batch costs its
+// own records and touched keys, the re-diagnosis of the detections it
+// dirtied, and two linear copies with small constants (the job table
+// when a complete job changed, the detection order when a node
+// refolded) — nothing is re-sorted or re-derived from the corpus, and
+// the store's index maps are shared with each snapshot shard by shard,
+// not cloned. Snapshot then assembles a *Result that is
+// value-identical (and therefore renders byte-identical) to
+// RunContextReport over a from-scratch store of the same arrival
+// sequence; the differential harness in the repo root proves that
+// equality after every batch.
+//
+// Three structures are kept ordered instead of being rebuilt:
+//
+//   - jobOrder, every job sorted by the canonical key of its first
+//     scheduler record — the order JobTableBuilder.Jobs emits. A new job
+//     is placed by binary search (an append when records arrive in
+//     order); an out-of-order record that becomes a job's first is an
+//     unlink + re-insert.
+//   - order, every detection sorted by the canonical key of its emitting
+//     terminal record. Only refolded nodes' entries are replaced, by one
+//     linear merge per batch.
+//   - the store's per-job span, which doubles as the apid → detections
+//     reverse index: a detection carrying an apid was emitted by a
+//     terminal record tagged with it.
 //
 // The invalidation rules are conservative supersets of Diagnose's true
 // dependencies, so a diagnosis is only ever reused when every input it
@@ -37,29 +57,30 @@ import (
 //   - new/changed/removed terminal records refold the whole node's
 //     detection chain (refractory merging is per-node state).
 //
-// Engine is single-writer: callers serialise ApplyBatch and Snapshot
-// (the HTTP server holds one mutex across both). Snapshots remain valid
-// after further ApplyBatch calls.
+// Engine is single-writer: callers serialise Seed, ApplyBatch and
+// Snapshot (the HTTP server holds one mutex across them). Snapshots
+// remain valid after further ApplyBatch calls.
 type Engine struct {
 	cfg  Config
 	live *logstore.Live
-	// store is the snapshot of live after the last ApplyBatch; diagnosis
+	// store is the immutable view of live after the last batch; diagnosis
 	// windows resolve against it and Snapshot hands it out as
 	// Result.Store.
 	store *logstore.Store
 	seq   int64
 
 	// terms holds each node's terminal records in canonical order; dets
-	// holds the refolded detection chains.
+	// holds the refolded per-node detection chains and order the same
+	// detections in global canonical order.
 	terms map[cname.Name][]termEntry
 	dets  map[cname.Name][]detRec
+	order []detRec
 
-	// Job-table state: per-job scheduler records in canonical order, the
-	// cached fold of each job, the first-seen key ordering the table, and
-	// the assembled jobs slice.
-	jobRecs  map[int64][]termEntry
-	jobFold  map[int64]workload.Job
-	jobFirst map[int64]recKey
+	// Job-table state: every job seen, by id and in first-seen order,
+	// and the published table of complete jobs (copy-on-write: earlier
+	// snapshots keep the slice they were given).
+	jobByID  map[int64]*jobState
+	jobOrder []*jobState
 	jobs     []workload.Job
 
 	// Apid-index state: the resolution map plus the canonical key of the
@@ -71,9 +92,36 @@ type Engine struct {
 	// Stream-family presence (monotone under appends) for Degradation.
 	haveInt, haveExt, haveSched, haveALPS bool
 
-	// diags memoizes raw (pre-degradation) diagnoses per detection.
+	// diags memoizes raw (pre-degradation) diagnoses, one per live
+	// detection.
 	diags map[detKey]Diagnosis
+
+	last ApplyStats
 }
+
+// ApplyStats counts the work the last Seed or ApplyBatch did, so dirty
+// rules that fire too widely show up without a profiler.
+type ApplyStats struct {
+	// Records is the batch size.
+	Records int
+	// NodesRefolded counts nodes whose detection chain was re-derived.
+	NodesRefolded int
+	// JobsRefolded counts jobs whose scheduler records were re-folded.
+	JobsRefolded int
+	// Rediagnosed counts detections diagnosed again.
+	Rediagnosed int
+}
+
+// jobState is one job's scheduler records in canonical order and their
+// cached fold.
+type jobState struct {
+	id   int64
+	recs []termEntry
+	fold workload.Job
+}
+
+// first is the job's first-seen key, which orders the job table.
+func (j *jobState) first() recKey { return j.recs[0].key }
 
 // recKey is the canonical total order of the corpus: the ByTime
 // comparator plus arrival sequence, which is exactly the stable order
@@ -127,17 +175,15 @@ type detRec struct {
 func NewEngine(cfg Config) *Engine {
 	live := logstore.NewLive()
 	return &Engine{
-		cfg:      cfg,
-		live:     live,
-		store:    live.Snapshot(),
-		terms:    map[cname.Name][]termEntry{},
-		dets:     map[cname.Name][]detRec{},
-		jobRecs:  map[int64][]termEntry{},
-		jobFold:  map[int64]workload.Job{},
-		jobFirst: map[int64]recKey{},
-		apids:    map[int64]int64{},
-		apidKey:  map[int64]recKey{},
-		diags:    map[detKey]Diagnosis{},
+		cfg:     cfg,
+		live:    live,
+		store:   live.Snapshot(),
+		terms:   map[cname.Name][]termEntry{},
+		dets:    map[cname.Name][]detRec{},
+		jobByID: map[int64]*jobState{},
+		apids:   map[int64]int64{},
+		apidKey: map[int64]recKey{},
+		diags:   map[detKey]Diagnosis{},
 	}
 }
 
@@ -155,12 +201,40 @@ func insertEntry(list []termEntry, e termEntry) []termEntry {
 	return list
 }
 
+// Seed installs a batch-built store as the engine's corpus by adoption:
+// the store's indexes become the live indexes (logstore.LiveFrom) and
+// only the diagnosis state is folded, so the corpus is indexed once.
+// The result equals ApplyBatch(store.All()) on every observable. The
+// store stays the caller's: the engine reads it, serves it as
+// Result.Store until the next batch, and never writes through it. On an
+// engine that already holds records there is nothing to adopt into and
+// the store's records are applied as one batch.
+func (e *Engine) Seed(store *logstore.Store) {
+	if e.live.Len() > 0 {
+		e.ApplyBatch(store.All())
+		return
+	}
+	e.last = ApplyStats{}
+	if store.Len() == 0 {
+		return
+	}
+	e.live = logstore.LiveFrom(store)
+	e.store = store
+	e.fold(store.All())
+}
+
 // ApplyBatch folds one batch of records — in arrival order, exactly as
 // handed to the parser/watcher — into the live pipeline state and
 // re-diagnoses every detection the batch could have affected. The slice
-// is not retained.
+// is not retained. The first batch of an empty engine is seeded: sorted
+// and indexed in one pass, then adopted.
 func (e *Engine) ApplyBatch(recs []events.Record) {
+	e.last = ApplyStats{}
 	if len(recs) == 0 {
+		return
+	}
+	if e.live.Len() == 0 {
+		e.Seed(logstore.New(recs))
 		return
 	}
 	batch := make([]events.Record, len(recs))
@@ -168,11 +242,28 @@ func (e *Engine) ApplyBatch(recs []events.Record) {
 	events.SortByTime(batch)
 	e.live.Apply(batch)
 	e.store = e.live.Snapshot()
+	e.fold(batch)
+}
 
+// LastApply reports the work done by the most recent Seed or ApplyBatch.
+func (e *Engine) LastApply() ApplyStats { return e.last }
+
+// touchedJob is the pre-batch state of a job the batch added records to.
+type touchedJob struct {
+	old workload.Job
+	// moved: the job is new or an earlier record took over as its first,
+	// so its place in the table (which decides equal-Start ties) changed.
+	moved bool
+}
+
+// fold advances the diagnosis state over a canonically sorted batch
+// whose records e.store already holds. Seeded and applied records take
+// the same route, with arrival sequence numbers continuing in batch
+// order.
+func (e *Engine) fold(batch []events.Record) {
 	refold := map[cname.Name]bool{}
-	jobsTouched := map[int64]workload.Job{} // pre-batch fold of each touched job
-	jobsSeen := map[int64]bool{}            // touched job existed before this batch
-	apidOld := map[int64]int64{}            // pre-batch Resolve output of touched apids
+	touched := map[*jobState]touchedJob{}
+	apidOld := map[int64]int64{} // pre-batch Resolve output of touched apids
 	type span struct{ lo, hi int64 }
 	nodeSpans := map[cname.Name]*span{}
 
@@ -211,11 +302,27 @@ func (e *Engine) ApplyBatch(recs []events.Record) {
 		}
 
 		if r.Stream == events.StreamScheduler && r.JobID != 0 {
-			if _, touched := jobsTouched[r.JobID]; !touched {
-				jobsTouched[r.JobID] = e.jobFold[r.JobID]
-				_, jobsSeen[r.JobID] = e.jobFirst[r.JobID]
+			js := e.jobByID[r.JobID]
+			if js == nil {
+				js = &jobState{id: r.JobID}
+				e.jobByID[r.JobID] = js
 			}
-			e.jobRecs[r.JobID] = insertEntry(e.jobRecs[r.JobID], termEntry{key: k, rec: *r})
+			tj, seen := touched[js]
+			if !seen {
+				tj.old = js.fold
+			}
+			// The job's place in jobOrder is keyed by its first record:
+			// unlink before that changes, link again after.
+			moved := len(js.recs) == 0 || keyBefore(k, js.first())
+			if moved && len(js.recs) > 0 {
+				e.unlinkJob(js)
+			}
+			js.recs = insertEntry(js.recs, termEntry{key: k, rec: *r})
+			if moved {
+				e.linkJob(js)
+				tj.moved = true
+			}
+			touched[js] = tj
 		}
 
 		if r.Stream == events.StreamALPS && r.JobID != 0 {
@@ -231,6 +338,8 @@ func (e *Engine) ApplyBatch(recs []events.Record) {
 		}
 	}
 
+	// Every entry below comes from a post-refold chain, so dirty only
+	// ever names live detections.
 	dirty := map[detKey]Detection{}
 
 	// Refold detection chains for nodes whose terminal set changed:
@@ -245,6 +354,9 @@ func (e *Engine) ApplyBatch(recs []events.Record) {
 		for _, dr := range folded {
 			dirty[keyOf(dr.det)] = dr.det
 		}
+	}
+	if len(refold) > 0 {
+		e.mergeOrder(refold)
 	}
 
 	// New records on a node dirty the detections whose evidence windows
@@ -264,66 +376,105 @@ func (e *Engine) ApplyBatch(recs []events.Record) {
 	// Changed jobs dirty every detection JobOnNode could answer
 	// differently for: the old and new node sets over the old and new
 	// [Start, End) spans. A changed first-seen position (order decides
-	// equal-Start ties) is treated as a change too.
+	// equal-Start ties) is treated as a change too. A job incomplete
+	// before and after is in neither table, and JobOnNode sees only the
+	// table: nothing to dirty, nothing to republish.
 	jobsChanged := false
-	for id, oldFold := range jobsTouched {
-		list := e.jobRecs[id]
-		newFirst := list[0].key
-		firstChanged := !jobsSeen[id] || e.jobFirst[id] != newFirst
-		e.jobFirst[id] = newFirst
-		newFold := foldJob(id, list)
-		e.jobFold[id] = newFold
-		if !firstChanged && jobsSeen[id] && jobEqual(oldFold, newFold) {
+	for js, tj := range touched {
+		js.fold = foldJob(js.id, js.recs)
+		if !tj.moved && jobEqual(tj.old, js.fold) {
 			continue
 		}
-		jobsChanged = true
-		for _, j := range []workload.Job{oldFold, newFold} {
-			if j.Start.IsZero() || j.End.IsZero() {
+		for _, j := range []workload.Job{tj.old, js.fold} {
+			if !jobComplete(j) {
 				continue
 			}
+			jobsChanged = true
 			lo, hi := j.Start.UnixNano(), j.End.UnixNano()-1
 			for _, n := range j.Nodes {
 				e.dirtyRange(dirty, n, lo, hi)
 			}
 		}
 	}
-	if jobsChanged || len(jobsTouched) > 0 {
-		e.rebuildJobs()
+	if jobsChanged {
+		e.publishJobs()
 	}
 
-	// Changed apid resolutions dirty detections that resolved the apid:
-	// those whose terminal carried it, and those whose internal window
-	// holds an internal node record tagged with it.
+	// Changed apid resolutions dirty detections that resolved the apid.
+	// Both kinds are found through the apid's records in the store: a
+	// detection whose terminal carried the apid sits at that terminal
+	// record's node and time, and a detection whose internal window
+	// holds an internal node record tagged with it sits within
+	// InternalWindow after that record.
 	for apid, old := range apidOld {
 		if alps.Resolve(apid, e.apids) == old {
 			continue
 		}
-		for _, drs := range e.dets {
-			for _, dr := range drs {
-				if dr.det.JobID == apid {
-					dirty[keyOf(dr.det)] = dr.det
-				}
+		tagged := e.store.Job(apid)
+		for i := range tagged {
+			r := &tagged[i]
+			tr := r.Time.UnixNano()
+			if IsTerminal(r) {
+				e.dirtyRange(dirty, r.Component, tr, tr)
 			}
-		}
-		for _, r := range e.store.Job(apid) {
 			if !r.Stream.Internal() || !r.Component.IsValid() || r.Component.Level() != cname.LevelNode {
 				continue
 			}
-			tr := r.Time.UnixNano()
 			e.dirtyRange(dirty, r.Component, tr-int64(time.Second), tr+int64(e.cfg.InternalWindow))
 		}
 	}
 
-	if len(dirty) == 0 {
-		return
-	}
 	rc := &RootCauser{Store: e.store, Jobs: e.jobs, Cfg: e.cfg, Apids: e.apids}
 	for k, d := range dirty {
-		if _, live := e.detAt(k); !live {
-			continue // dirtied conservatively but no longer detected
-		}
 		e.diags[k] = rc.Diagnose(d)
 	}
+	e.last = ApplyStats{
+		Records:       len(batch),
+		NodesRefolded: len(refold),
+		JobsRefolded:  len(touched),
+		Rediagnosed:   len(dirty),
+	}
+}
+
+// linkJob places js into jobOrder at its first-seen key: an append when
+// records arrive in order, a binary-search insert otherwise.
+func (e *Engine) linkJob(js *jobState) {
+	k := js.first()
+	i := sort.Search(len(e.jobOrder), func(i int) bool { return keyBefore(k, e.jobOrder[i].first()) })
+	e.jobOrder = append(e.jobOrder, nil)
+	copy(e.jobOrder[i+1:], e.jobOrder[i:])
+	e.jobOrder[i] = js
+}
+
+// unlinkJob removes js from jobOrder. Call before its first-seen key
+// changes: the key finds it.
+func (e *Engine) unlinkJob(js *jobState) {
+	k := js.first()
+	i := sort.Search(len(e.jobOrder), func(i int) bool { return !keyBefore(e.jobOrder[i].first(), k) })
+	e.jobOrder = append(e.jobOrder[:i], e.jobOrder[i+1:]...)
+}
+
+// mergeOrder replaces the refolded nodes' entries in the global
+// detection order with their new chains: one pass over the old order,
+// merging in the (few) new entries sorted by key.
+func (e *Engine) mergeOrder(refold map[cname.Name]bool) {
+	var add []detRec
+	for n := range refold {
+		add = append(add, e.dets[n]...)
+	}
+	sort.Slice(add, func(i, j int) bool { return keyBefore(add[i].key, add[j].key) })
+	out := make([]detRec, 0, len(e.order)+len(add))
+	for _, dr := range e.order {
+		if refold[dr.det.Node] {
+			continue
+		}
+		for len(add) > 0 && keyBefore(add[0].key, dr.key) {
+			out = append(out, add[0])
+			add = add[1:]
+		}
+		out = append(out, dr)
+	}
+	e.order = append(out, add...)
 }
 
 // refoldNode re-runs the per-node refractory chain over the node's
@@ -347,16 +498,6 @@ func (e *Engine) refoldNode(n cname.Name) []detRec {
 		})
 	}
 	return out
-}
-
-// detAt reports whether k still names a live detection.
-func (e *Engine) detAt(k detKey) (Detection, bool) {
-	for _, dr := range e.dets[k.node] {
-		if keyOf(dr.det) == k {
-			return dr.det, true
-		}
-	}
-	return Detection{}, false
 }
 
 // dirtyRange marks the node's detections with Time in [lo, hi]
@@ -410,28 +551,22 @@ func jobEqual(a, b workload.Job) bool {
 	return true
 }
 
-// rebuildJobs reassembles the jobs slice: complete jobs ordered by
-// first-seen canonical key — exactly the order JobTableBuilder.Jobs
-// emits over the sorted corpus. Always a fresh slice; earlier snapshots
-// keep theirs.
-func (e *Engine) rebuildJobs() {
-	ids := make([]int64, 0, len(e.jobFirst))
-	for id := range e.jobFirst {
-		ids = append(ids, id)
-	}
-	// Insertion sort by first-seen key; the table is small and mostly
-	// ordered already.
-	for i := 1; i < len(ids); i++ {
-		for j := i; j > 0 && keyBefore(e.jobFirst[ids[j]], e.jobFirst[ids[j-1]]); j-- {
-			ids[j], ids[j-1] = ids[j-1], ids[j]
-		}
-	}
+func jobComplete(j workload.Job) bool { return !j.Start.IsZero() && !j.End.IsZero() }
+
+// publishJobs reassembles the published table: complete jobs in
+// jobOrder — exactly what JobTableBuilder.Jobs emits over the sorted
+// corpus. Always a fresh slice, because earlier snapshots keep theirs,
+// and nil while no job is complete, as the builder's is.
+func (e *Engine) publishJobs() {
 	var out []workload.Job
-	for _, id := range ids {
-		j := e.jobFold[id]
-		if !j.Start.IsZero() && !j.End.IsZero() {
-			out = append(out, j)
+	for _, js := range e.jobOrder {
+		if !jobComplete(js.fold) {
+			continue
 		}
+		if out == nil {
+			out = make([]workload.Job, 0, len(e.jobOrder))
+		}
+		out = append(out, js.fold)
 	}
 	e.jobs = out
 }
@@ -442,23 +577,12 @@ func (e *Engine) rebuildJobs() {
 // shares no mutable state with the engine and stays valid across later
 // ApplyBatch calls.
 func (e *Engine) Snapshot(lostChunks int) *Result {
-	var all []detRec
-	for _, drs := range e.dets {
-		all = append(all, drs...)
-	}
-	// Global detection order is the canonical order of the emitting
-	// terminal records.
-	for i := 1; i < len(all); i++ {
-		for j := i; j > 0 && keyBefore(all[j].key, all[j-1].key); j-- {
-			all[j], all[j-1] = all[j-1], all[j]
-		}
-	}
 	var dets []Detection
-	if len(all) > 0 {
-		dets = make([]Detection, len(all))
+	if len(e.order) > 0 {
+		dets = make([]Detection, len(e.order))
 	}
-	diags := make([]Diagnosis, len(all))
-	for i, dr := range all {
+	diags := make([]Diagnosis, len(e.order))
+	for i, dr := range e.order {
 		dets[i] = dr.det
 		d, ok := e.diags[keyOf(dr.det)]
 		if !ok {

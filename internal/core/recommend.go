@@ -32,14 +32,18 @@ type BuggyJob struct {
 // BuggyJobs returns jobs with at least minFailures attributed failures,
 // most damaging first.
 func (a *JobAnalyzer) BuggyJobs(minFailures int) []BuggyJob {
-	apps := map[int64]string{}
-	for i := range a.Jobs {
-		apps[a.Jobs[i].ID] = a.Jobs[i].App
-	}
 	counts := map[int64]int{}
 	for _, d := range a.Diagnoses {
 		if d.JobID != 0 {
 			counts[d.JobID]++
+		}
+	}
+	// Only implicated jobs need their app name: one pass over the table
+	// against the (small) count map, not a map of every job per call.
+	apps := map[int64]string{}
+	for i := range a.Jobs {
+		if counts[a.Jobs[i].ID] >= minFailures {
+			apps[a.Jobs[i].ID] = a.Jobs[i].App
 		}
 	}
 	var out []BuggyJob

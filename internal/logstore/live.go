@@ -1,6 +1,8 @@
 package logstore
 
 import (
+	"slices"
+
 	"hpcfail/internal/cname"
 	"hpcfail/internal/events"
 )
@@ -21,21 +23,76 @@ import (
 //
 // Snapshot safety: previously returned snapshots stay valid while the
 // Live keeps mutating. In-order appends reuse the tail capacity of the
-// live slices — invisible to snapshots because every snapshot slice is
-// capacity-capped at its length — and out-of-order arrivals rebuild the
-// affected key's slice copy-on-write, leaving the old array to the old
-// snapshots. The maps themselves are cloned per snapshot.
+// live slices — invisible to snapshots because every span a Store hands
+// out is capacity-capped at its length — and out-of-order arrivals
+// rebuild the affected key's slice copy-on-write, leaving the old array
+// to the old snapshots. The index maps are sharded by key hash and
+// shared with the snapshots shard by shard: Snapshot copies the shard
+// tables (spanShards pointers per family) and the next Apply clones only
+// the shards it writes to, so neither grows with the number of keys.
 //
 // Live itself is not safe for concurrent use; the owner serialises
 // Apply/Snapshot (the server holds its engine mutex across both).
 type Live struct {
 	recs []events.Record
 
-	byNode     map[cname.Name][]events.Record
-	byBlade    map[cname.Name][]events.Record
-	byCabinet  map[cname.Name][]events.Record
-	byCategory map[string][]events.Record
-	byJob      map[int64][]events.Record
+	byNode     liveIndex[cname.Name]
+	byBlade    liveIndex[cname.Name]
+	byCabinet  liveIndex[cname.Name]
+	byCategory liveIndex[string]
+	byJob      liveIndex[int64]
+}
+
+// liveIndex is a spanIndex under single-writer mutation. A shard is
+// owned once it was created or cloned after the last snapshot; only
+// owned shards are written in place.
+type liveIndex[K comparable] struct {
+	spanIndex[K]
+	owned []bool
+}
+
+func newLiveIndex[K comparable](hash func(K) uint32) liveIndex[K] {
+	return liveIndex[K]{spanIndex: newSpanIndex(hash), owned: make([]bool, spanShards)}
+}
+
+// adoptIndex starts a live index from a finished one without sharing
+// anything writable: every shard is cloned and every span capped, so
+// the first append to an adopted span moves it to a fresh array.
+func adoptIndex[K comparable](from spanIndex[K], hash func(K) uint32) liveIndex[K] {
+	x := newLiveIndex(hash)
+	for i, m := range from.shards {
+		if len(m) == 0 {
+			continue
+		}
+		c := make(map[K][]events.Record, len(m))
+		for k, v := range m {
+			c[k] = v[:len(v):len(v)]
+		}
+		x.shards[i], x.owned[i] = c, true
+	}
+	return x
+}
+
+// merge folds a canonically sorted addition into the key's span,
+// cloning the key's shard first if a snapshot shares it.
+func (x *liveIndex[K]) merge(k K, add []events.Record) {
+	i := x.hash(k) % spanShards
+	m := x.shards[i]
+	if !x.owned[i] {
+		c := make(map[K][]events.Record, len(m)+1)
+		for k, v := range m {
+			c[k] = v
+		}
+		m, x.shards[i], x.owned[i] = c, c, true
+	}
+	m[k] = mergeSpan(m[k], add)
+}
+
+// snapshot hands out the index as it stands; every shard is shared
+// from here on.
+func (x *liveIndex[K]) snapshot() spanIndex[K] {
+	clear(x.owned)
+	return spanIndex[K]{hash: x.hash, shards: slices.Clone(x.shards)}
 }
 
 // NewLive returns an empty live store.
@@ -44,11 +101,28 @@ func NewLive() *Live {
 		// Non-nil from the start so an empty snapshot's All() equals an
 		// empty New()'s (reflect.DeepEqual distinguishes nil).
 		recs:       []events.Record{},
-		byNode:     make(map[cname.Name][]events.Record),
-		byBlade:    make(map[cname.Name][]events.Record),
-		byCabinet:  make(map[cname.Name][]events.Record),
-		byCategory: make(map[string][]events.Record),
-		byJob:      make(map[int64][]events.Record),
+		byNode:     newLiveIndex(hashName),
+		byBlade:    newLiveIndex(hashName),
+		byCabinet:  newLiveIndex(hashName),
+		byCategory: newLiveIndex(hashString),
+		byJob:      newLiveIndex(hashInt64),
+	}
+}
+
+// LiveFrom returns a live store that continues from a batch-built one:
+// Apply on it behaves as if every record of s had been applied first,
+// without indexing them a second time. s is not consumed — it stays
+// immutable and in use by its other holders: the index maps are cloned
+// and every span is capacity-capped, so the first append to any adopted
+// span moves it to a fresh array instead of writing into s's slab.
+func LiveFrom(s *Store) *Live {
+	return &Live{
+		recs:       s.recs[:len(s.recs):len(s.recs)],
+		byNode:     adoptIndex(s.byNode, hashName),
+		byBlade:    adoptIndex(s.byBlade, hashName),
+		byCabinet:  adoptIndex(s.byCabinet, hashName),
+		byCategory: adoptIndex(s.byCategory, hashString),
+		byJob:      adoptIndex(s.byJob, hashInt64),
 	}
 }
 
@@ -132,35 +206,24 @@ func (l *Live) Apply(batch []events.Record) {
 		}
 	}
 	for k, add := range nodeAdds {
-		l.byNode[k] = mergeSpan(l.byNode[k], add)
+		l.byNode.merge(k, add)
 	}
 	for k, add := range bladeAdds {
-		l.byBlade[k] = mergeSpan(l.byBlade[k], add)
+		l.byBlade.merge(k, add)
 	}
 	for k, add := range cabAdds {
-		l.byCabinet[k] = mergeSpan(l.byCabinet[k], add)
+		l.byCabinet.merge(k, add)
 	}
 	for k, add := range catAdds {
-		l.byCategory[k] = mergeSpan(l.byCategory[k], add)
+		l.byCategory.merge(k, add)
 	}
 	for k, add := range jobAdds {
-		l.byJob[k] = mergeSpan(l.byJob[k], add)
+		l.byJob.merge(k, add)
 	}
 }
 
 // Len returns the live record count.
 func (l *Live) Len() int { return len(l.recs) }
-
-// cappedClone clones a span map with every span capacity-capped at its
-// current length, so later in-place appends to the live spans cannot
-// leak into the snapshot.
-func cappedClone[K comparable](m map[K][]events.Record) map[K][]events.Record {
-	out := make(map[K][]events.Record, len(m))
-	for k, v := range m {
-		out[k] = v[:len(v):len(v)]
-	}
-	return out
-}
 
 // Snapshot returns an immutable Store over the corpus applied so far.
 // Queries against it are indistinguishable from New over the same
@@ -168,10 +231,10 @@ func cappedClone[K comparable](m map[K][]events.Record) map[K][]events.Record {
 func (l *Live) Snapshot() *Store {
 	return &Store{
 		recs:       l.recs[:len(l.recs):len(l.recs)],
-		byNode:     cappedClone(l.byNode),
-		byBlade:    cappedClone(l.byBlade),
-		byCabinet:  cappedClone(l.byCabinet),
-		byCategory: cappedClone(l.byCategory),
-		byJob:      cappedClone(l.byJob),
+		byNode:     l.byNode.snapshot(),
+		byBlade:    l.byBlade.snapshot(),
+		byCabinet:  l.byCabinet.snapshot(),
+		byCategory: l.byCategory.snapshot(),
+		byJob:      l.byJob.snapshot(),
 	}
 }

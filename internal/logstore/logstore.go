@@ -39,11 +39,80 @@ import (
 type Store struct {
 	recs []events.Record
 
-	byNode     map[cname.Name][]events.Record
-	byBlade    map[cname.Name][]events.Record
-	byCabinet  map[cname.Name][]events.Record
-	byCategory map[string][]events.Record
-	byJob      map[int64][]events.Record
+	byNode     spanIndex[cname.Name]
+	byBlade    spanIndex[cname.Name]
+	byCabinet  spanIndex[cname.Name]
+	byCategory spanIndex[string]
+	byJob      spanIndex[int64]
+}
+
+// spanShards is how many maps one index family is split into, by key
+// hash. A batch-built Store never notices the split. A Live does: the
+// Stores it stamps out share its shard maps, and the next Apply clones
+// only the shards it writes to — a snapshot costs the shard table, not
+// the key count (see Live).
+const spanShards = 256
+
+// spanIndex is one secondary-index family: key → time-ascending span.
+// The zero value is an empty index.
+type spanIndex[K comparable] struct {
+	hash   func(K) uint32
+	shards []map[K][]events.Record // nil, or spanShards maps (nil = empty)
+}
+
+func newSpanIndex[K comparable](hash func(K) uint32) spanIndex[K] {
+	return spanIndex[K]{hash: hash, shards: make([]map[K][]events.Record, spanShards)}
+}
+
+// put adds a key while the index is being built; shards are sized to
+// an even share of sizeHint keys.
+func (x *spanIndex[K]) put(k K, span []events.Record, sizeHint int) {
+	i := x.hash(k) % spanShards
+	m := x.shards[i]
+	if m == nil {
+		m = make(map[K][]events.Record, sizeHint/spanShards+1)
+		x.shards[i] = m
+	}
+	m[k] = span
+}
+
+// get returns the key's span, capacity-capped: a shard shared with a
+// Live holds spans whose tail capacity the Live appends into, and a
+// caller appending to a result must not reach it.
+func (x *spanIndex[K]) get(k K) []events.Record {
+	if x.shards == nil {
+		return nil
+	}
+	v := x.shards[x.hash(k)%spanShards][k]
+	return v[:len(v):len(v)]
+}
+
+// Shard hashes: any function of the key will do, as long as every bit
+// of the key reaches the low bits that pick the shard.
+
+func hashName(n cname.Name) uint32 {
+	k, ok := n.Key()
+	if !ok {
+		// Coordinates outside 12 bits; never produced by the simulated
+		// topologies. The canonical string is as injective as the name.
+		return hashString(n.String())
+	}
+	return hashInt64(int64(k))
+}
+
+func hashInt64(v int64) uint32 { // splitmix64 finalizer
+	x := uint64(v)
+	x = (x ^ x>>30) * 0xBF58476D1CE4E5B9
+	x = (x ^ x>>27) * 0x94D049BB133111EB
+	return uint32(x ^ x>>31)
+}
+
+func hashString(s string) uint32 { // FNV-1a
+	h := uint32(2166136261)
+	for i := 0; i < len(s); i++ {
+		h = (h ^ uint32(s[i])) * 16777619
+	}
+	return h
 }
 
 // New builds a store over the records (copied and sorted by time).
@@ -69,7 +138,7 @@ func NewOwned(recs []events.Record) *Store {
 // time-ascending, each span three-index sliced so its capacity ends at
 // the span boundary. key reports a record's key for the family
 // (ok=false skips the record).
-func buildSpans[K comparable](recs []events.Record, key func(*events.Record) (K, bool)) map[K][]events.Record {
+func buildSpans[K comparable](recs []events.Record, hash func(K) uint32, key func(*events.Record) (K, bool)) spanIndex[K] {
 	counts := make(map[K]int)
 	total := 0
 	for i := range recs {
@@ -92,10 +161,10 @@ func buildSpans[K comparable](recs []events.Record, key func(*events.Record) (K,
 			cursors[k] = j + 1
 		}
 	}
-	spans := make(map[K][]events.Record, len(counts))
+	spans := newSpanIndex(hash)
 	for k, c := range counts {
 		end := cursors[k]
-		spans[k] = slab[end-c : end : end]
+		spans.put(k, slab[end-c:end:end], len(counts))
 	}
 	return spans
 }
@@ -153,10 +222,10 @@ func (a *spanAcc) fill(slab []events.Record, k cname.Name, r *events.Record) {
 }
 
 // spans carves the filled slab into capped per-key subslices.
-func (a *spanAcc) spans(slab []events.Record) map[cname.Name][]events.Record {
-	out := make(map[cname.Name][]events.Record, len(a.slots))
+func (a *spanAcc) spans(slab []events.Record) spanIndex[cname.Name] {
+	out := newSpanIndex(hashName)
 	for _, s := range a.slots {
-		out[s.name] = slab[s.cur-s.count : s.cur : s.cur]
+		out.put(s.name, slab[s.cur-s.count:s.cur:s.cur], len(a.slots))
 	}
 	return out
 }
@@ -180,7 +249,7 @@ func cabinetKey(r *events.Record) (cname.Name, bool) {
 // buildComponentSpans builds the node, blade, and cabinet span families
 // in one pair of passes: all three keys derive from r.Component, so a
 // single traversal computes them together instead of six family scans.
-func buildComponentSpans(recs []events.Record) (byNode, byBlade, byCabinet map[cname.Name][]events.Record) {
+func buildComponentSpans(recs []events.Record) (byNode, byBlade, byCabinet spanIndex[cname.Name]) {
 	nodeAcc := spanAcc{idx: make(map[uint64]int32)}
 	bladeAcc := spanAcc{idx: make(map[uint64]int32)}
 	cabAcc := spanAcc{idx: make(map[uint64]int32)}
@@ -218,8 +287,8 @@ func buildComponentSpans(recs []events.Record) (byNode, byBlade, byCabinet map[c
 }
 
 // componentSpanFallback is the struct-hashed path for unpackable names.
-func componentSpanFallback(recs []events.Record) (byNode, byBlade, byCabinet map[cname.Name][]events.Record) {
-	return buildSpans(recs, nodeKey), buildSpans(recs, bladeKey), buildSpans(recs, cabinetKey)
+func componentSpanFallback(recs []events.Record) (byNode, byBlade, byCabinet spanIndex[cname.Name]) {
+	return buildSpans(recs, hashName, nodeKey), buildSpans(recs, hashName, bladeKey), buildSpans(recs, hashName, cabinetKey)
 }
 
 // newFromSorted builds the secondary indexes over records that are
@@ -233,10 +302,10 @@ func newFromSorted(recs []events.Record) *Store {
 		byNode:    byNode,
 		byBlade:   byBlade,
 		byCabinet: byCabinet,
-		byCategory: buildSpans(recs, func(r *events.Record) (string, bool) {
+		byCategory: buildSpans(recs, hashString, func(r *events.Record) (string, bool) {
 			return r.Category, true
 		}),
-		byJob: buildSpans(recs, func(r *events.Record) (int64, bool) {
+		byJob: buildSpans(recs, hashInt64, func(r *events.Record) (int64, bool) {
 			return r.JobID, r.JobID != 0
 		}),
 	}
@@ -286,41 +355,43 @@ func (s *Store) Window(from, to time.Time) []events.Record {
 // components match; blade/cabinet records do not. The result is a
 // shared zero-copy span — callers must not modify it.
 func (s *Store) NodeWindow(node cname.Name, from, to time.Time) []events.Record {
-	return windowOf(s.byNode[node], from, to)
+	return windowOf(s.byNode.get(node), from, to)
 }
 
 // BladeWindow returns records of the blade and everything on it
 // (including its nodes) in [from, to).
 func (s *Store) BladeWindow(blade cname.Name, from, to time.Time) []events.Record {
-	return windowOf(s.byBlade[blade], from, to)
+	return windowOf(s.byBlade.get(blade), from, to)
 }
 
 // CabinetWindow returns records of the cabinet and everything in it in
 // [from, to).
 func (s *Store) CabinetWindow(cab cname.Name, from, to time.Time) []events.Record {
-	return windowOf(s.byCabinet[cab], from, to)
+	return windowOf(s.byCabinet.get(cab), from, to)
 }
 
 // Category returns all records with the given category, time-ascending.
 func (s *Store) Category(cat string) []events.Record {
-	return s.byCategory[cat]
+	return s.byCategory.get(cat)
 }
 
 // CategoryWindow returns the category's records in [from, to).
 func (s *Store) CategoryWindow(cat string, from, to time.Time) []events.Record {
-	return windowOf(s.byCategory[cat], from, to)
+	return windowOf(s.byCategory.get(cat), from, to)
 }
 
 // Job returns all records tagged with the job id.
 func (s *Store) Job(id int64) []events.Record {
-	return s.byJob[id]
+	return s.byJob.get(id)
 }
 
 // Nodes returns every node that has at least one record, unordered.
 func (s *Store) Nodes() []cname.Name {
-	out := make([]cname.Name, 0, len(s.byNode))
-	for n := range s.byNode {
-		out = append(out, n)
+	out := []cname.Name{}
+	for _, m := range s.byNode.shards {
+		for n := range m {
+			out = append(out, n)
+		}
 	}
 	sort.Slice(out, func(i, j int) bool { return cname.Compare(out[i], out[j]) < 0 })
 	return out

@@ -6,6 +6,8 @@ import (
 	"sort"
 	"sync"
 	"time"
+
+	"hpcfail/internal/core"
 )
 
 // metrics is a hand-rolled Prometheus text-format registry — counters,
@@ -55,6 +57,9 @@ const (
 	mReplStreamed = "hpcfail_replication_streamed_entries_total"
 	mReplFenced   = "hpcfail_replication_fenced_entries_total"
 
+	mEngRediagnosed  = "hpcfail_engine_rediagnosed_total"
+	mEngJobsRefolded = "hpcfail_engine_jobs_refolded_total"
+
 	mMinerLines    = "hpcfail_miner_lines_mined_total"
 	mMinerPromoted = "hpcfail_miner_promotions_total"
 	mCandidates    = "hpcfail_candidates_total"
@@ -81,6 +86,9 @@ var counterHelp = map[string]string{
 	mReplApplied:  "Replicated entries folded into this node's corpus.",
 	mReplStreamed: "Entries sent to /v1/wal stream consumers.",
 	mReplFenced:   "Entries rejected because their epoch was deposed.",
+
+	mEngRediagnosed:  "Detections the incremental engine diagnosed again because a delta dirtied them.",
+	mEngJobsRefolded: "Jobs whose scheduler records the incremental engine folded again.",
 
 	mMinerLines:    "Quarantined or unclassified lines fed to the template miner.",
 	mMinerPromoted: "Mined templates promoted past the frequency or burst threshold.",
@@ -151,11 +159,14 @@ func (m *metrics) observe(handler string, code int, d time.Duration) {
 }
 
 // observeApply records one incremental-engine delta application — the
-// time a post-ingest query spent bringing the snapshot current.
-func (m *metrics) observeApply(d time.Duration) {
+// time a post-ingest query spent bringing the snapshot current, and how
+// much the engine's dirty rules made it redo.
+func (m *metrics) observeApply(d time.Duration, work core.ApplyStats) {
 	sec := d.Seconds()
 	m.mu.Lock()
 	defer m.mu.Unlock()
+	m.counters[mEngRediagnosed] += uint64(work.Rediagnosed)
+	m.counters[mEngJobsRefolded] += uint64(work.JobsRefolded)
 	i := 0
 	for i < len(applyBuckets) && sec > applyBuckets[i] {
 		i++

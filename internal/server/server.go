@@ -432,20 +432,21 @@ func (s *Server) Watcher() *core.Watcher { return s.watcher }
 // Seed installs a bootstrap corpus — typically logstore.LoadDirReport
 // output — as watermark 1, replaying it through the watcher so online
 // state (refractory gaps, apid resolution, burst windows) continues
-// from the end of the bootstrap rather than from nothing. The corpus is
-// applied to the incremental engine and fully diagnosed eagerly, so the
-// startup cost covers the whole pipeline and the first query serves a
-// memoized snapshot — byte-identical to what the CLI prints over the
-// same directory. Call before serving; Seed is not synchronised against
-// live handlers.
+// from the end of the bootstrap rather than from nothing. The engine
+// adopts the store's indexes (core.Engine.Seed) instead of indexing the
+// corpus a second time, and diagnoses it eagerly, so the startup cost
+// covers the whole pipeline and the first query serves a memoized
+// snapshot — byte-identical to what the CLI prints over the same
+// directory. The store stays the caller's and is not modified. Call
+// before serving; Seed is not synchronised against live handlers.
 func (s *Server) Seed(store *logstore.Store, rep *logstore.IngestReport) {
 	recs := store.All()
 
 	s.engMu.Lock()
 	start := time.Now()
-	s.eng.ApplyBatch(recs)
+	s.eng.Seed(store)
 	res := s.eng.Snapshot(rep.LostChunks())
-	s.metrics.observeApply(time.Since(start))
+	s.metrics.observeApply(time.Since(start), s.eng.LastApply())
 	s.engMu.Unlock()
 
 	s.mu.Lock()
@@ -575,7 +576,7 @@ func (s *Server) applyPending(wm uint64) *snapshot {
 	start := time.Now()
 	s.eng.ApplyBatch(delta)
 	res := s.eng.Snapshot(rep.LostChunks())
-	s.metrics.observeApply(time.Since(start))
+	s.metrics.observeApply(time.Since(start), s.eng.LastApply())
 
 	snap := &snapshot{watermark: curWM, store: res.Store, rep: rep, res: res}
 	s.snapMu.Lock()

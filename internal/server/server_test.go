@@ -3,12 +3,14 @@ package server
 import (
 	"bufio"
 	"encoding/json"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"strings"
 	"testing"
 	"time"
 
+	"hpcfail/internal/events"
 	"hpcfail/internal/logstore"
 	"hpcfail/internal/topology"
 )
@@ -425,6 +427,26 @@ func TestStalenessAndApplyMetrics(t *testing.T) {
 		"# TYPE hpcfail_snapshot_apply_seconds histogram",
 		"hpcfail_snapshot_apply_seconds_count 1")
 
+	// Seeding diagnosed every detection once and folded every job once.
+	snap, err := s.snapshotNow()
+	if err != nil {
+		t.Fatal(err)
+	}
+	jobs := map[int64]bool{}
+	for _, r := range snap.store.All() {
+		if r.Stream == events.StreamScheduler && r.JobID != 0 {
+			jobs[r.JobID] = true
+		}
+	}
+	if len(snap.res.Detections) == 0 || len(jobs) == 0 {
+		t.Fatal("fixture has no detections or no jobs — counters untested")
+	}
+	mustContain("seeded", get(t, h, "/metrics").Body.String(),
+		"# TYPE hpcfail_engine_rediagnosed_total counter",
+		fmt.Sprintf("hpcfail_engine_rediagnosed_total %d\n", len(snap.res.Detections)),
+		"# TYPE hpcfail_engine_jobs_refolded_total counter",
+		fmt.Sprintf("hpcfail_engine_jobs_refolded_total %d\n", len(jobs)))
+
 	var st struct {
 		Watermark uint64 `json:"watermark"`
 		Diagnosed uint64 `json:"diagnosed_watermark"`
@@ -457,15 +479,49 @@ func TestStalenessAndApplyMetrics(t *testing.T) {
 	if rec := get(t, h, "/v1/diagnose"); rec.Code != http.StatusOK {
 		t.Fatalf("diagnose = %d", rec.Code)
 	}
+	// The delta is one console line: no job is folded again, and only the
+	// detections on its node whose evidence windows reach it are
+	// diagnosed again.
+	reached := func(node string, at time.Time) int {
+		n := 0
+		for _, d := range snap.res.Detections {
+			if d.Node.String() == node && d.Time.After(at.Add(-time.Second)) && !d.Time.After(at.Add(s.cfg.Pipeline.ExternalWindow)) {
+				n++
+			}
+		}
+		return n
+	}
+	rediagnosed := len(snap.res.Detections) + reached("c0-0c0s0n0", time.Date(2015, 3, 3, 8, 0, 0, 0, time.UTC))
 	mustContain("applied", get(t, h, "/metrics").Body.String(),
 		"hpcfail_snapshot_staleness_watermarks 0",
-		"hpcfail_snapshot_apply_seconds_count 2")
+		"hpcfail_snapshot_apply_seconds_count 2",
+		fmt.Sprintf("hpcfail_engine_rediagnosed_total %d\n", rediagnosed),
+		fmt.Sprintf("hpcfail_engine_jobs_refolded_total %d\n", len(jobs)))
 	if err := json.Unmarshal(get(t, h, "/healthz").Body.Bytes(), &st); err != nil {
 		t.Fatal(err)
 	}
 	if st.Watermark != 2 || st.Diagnosed != 2 || st.Staleness != 0 {
 		t.Errorf("applied healthz = %+v, want watermark 2 diagnosed 2 staleness 0", st)
 	}
+
+	// The same line a minute before a failure is evidence for it: that
+	// node's reachable detections are diagnosed again, nothing else is.
+	d := snap.res.Detections[0]
+	at := d.Time.Add(-time.Minute).UTC()
+	if reached(d.Node.String(), at) == 0 {
+		t.Fatal("line reaches no detection — counter untested")
+	}
+	if _, err := s.Ingest([]IngestBatch{{Stream: "console", Lines: []string{
+		at.Format("2006-01-02T15:04:05.000000Z") + " " + d.Node.String() + " kernel: <4> EDAC MC0: corrected memory error on DIMM (benign burst)",
+	}}}); err != nil {
+		t.Fatal(err)
+	}
+	if rec := get(t, h, "/v1/diagnose"); rec.Code != http.StatusOK {
+		t.Fatalf("diagnose = %d", rec.Code)
+	}
+	mustContain("evidence", get(t, h, "/metrics").Body.String(),
+		fmt.Sprintf("hpcfail_engine_rediagnosed_total %d\n", rediagnosed+reached(d.Node.String(), at)),
+		fmt.Sprintf("hpcfail_engine_jobs_refolded_total %d\n", len(jobs)))
 }
 
 // counter reads a metrics counter (test helper; production reads go
