@@ -30,6 +30,7 @@ import (
 	"io"
 	"os"
 	"os/signal"
+	"runtime"
 	"syscall"
 
 	"hpcfail"
@@ -51,6 +52,9 @@ type options struct {
 	resume  bool
 	mine    bool
 	profile string
+	// memprofile is where run/runJSON write a heap profile just before
+	// they return, while the store and the result are still reachable.
+	memprofile string
 }
 
 func main() {
@@ -58,7 +62,6 @@ func main() {
 		o          options
 		jsonMode   bool
 		cpuprofile string
-		memprofile string
 		showVer    bool
 	)
 	flag.StringVar(&o.logs, "logs", "logs", "log directory")
@@ -73,7 +76,7 @@ func main() {
 	flag.BoolVar(&o.mine, "mine", false, "append a mined-template report over quarantined/unclassified lines")
 	flag.StringVar(&o.profile, "mined-profile", "", "mined profile JSON; reclaims quarantined lines it classifies (sequential loader only)")
 	flag.StringVar(&cpuprofile, "cpuprofile", "", "write a CPU profile to this file")
-	flag.StringVar(&memprofile, "memprofile", "", "write a heap profile to this file on exit")
+	flag.StringVar(&o.memprofile, "memprofile", "", "write a heap profile of the loaded store and result to this file")
 	flag.BoolVar(&showVer, "version", false, "print build version and exit")
 	flag.Parse()
 	if showVer {
@@ -81,7 +84,7 @@ func main() {
 		return
 	}
 
-	stopProf, err := prof.Start(cpuprofile, memprofile)
+	stopProf, err := prof.Start(cpuprofile, "")
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "diagnose:", err)
 		os.Exit(1)
@@ -197,7 +200,19 @@ func runJSON(ctx context.Context, o options, stdout, stderr io.Writer) error {
 		return err
 	}
 	render.Warnings(stderr, rep.Warnings(), 0)
-	return render.DiagnoseJSON(stdout, res)
+	if err := render.DiagnoseJSON(stdout, res); err != nil {
+		return err
+	}
+	return heapProfile(o.memprofile, rep, res)
+}
+
+// heapProfile writes the -memprofile with everything in live still
+// reachable, so inuse_space answers "what holds the memory" for the
+// loaded corpus rather than for a process about to exit.
+func heapProfile(path string, live ...any) error {
+	err := prof.WriteHeap(path)
+	runtime.KeepAlive(live)
+	return err
 }
 
 func run(ctx context.Context, o options, stdout, stderr io.Writer) error {
@@ -224,5 +239,5 @@ func run(ctx context.Context, o options, stdout, stderr io.Writer) error {
 		views, _ := m.TemplatesSince(0, 0)
 		render.MinedTemplates(stdout, m.Stats(), views)
 	}
-	return nil
+	return heapProfile(o.memprofile, store, rep, res)
 }

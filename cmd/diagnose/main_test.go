@@ -84,6 +84,23 @@ func TestRunJSON(t *testing.T) {
 	}
 }
 
+// TestRunWritesHeapProfileBeforeReturning pins where -memprofile is
+// taken: inside run/runJSON, with the store and result still reachable,
+// not by main after they returned and were collected.
+func TestRunWritesHeapProfileBeforeReturning(t *testing.T) {
+	dir := writeTestLogs(t)
+	for name, fn := range map[string]func(context.Context, options, io.Writer, io.Writer) error{"run": run, "runJSON": runJSON} {
+		o := opts(dir)
+		o.memprofile = filepath.Join(t.TempDir(), name+".pprof")
+		if err := fn(context.Background(), o, io.Discard, io.Discard); err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if fi, err := os.Stat(o.memprofile); err != nil || fi.Size() == 0 {
+			t.Errorf("%s left no heap profile at %s (err %v)", name, o.memprofile, err)
+		}
+	}
+}
+
 func TestRunDiagnoseDegraded(t *testing.T) {
 	ctx := context.Background()
 	dir := writeTestLogs(t)

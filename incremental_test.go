@@ -261,14 +261,14 @@ func storeView(s *Store) map[string]any {
 		r := &all[i]
 		if c := r.Component; c.IsValid() {
 			for _, n := range []cname.Name{c, c.BladeName(), c.CabinetName()} {
-				view["node "+n.String()] = s.NodeWindow(n, first, end)
-				view["blade "+n.String()] = s.BladeWindow(n, first, end)
-				view["cabinet "+n.String()] = s.CabinetWindow(n, first, end)
+				view["node "+n.String()] = s.NodeWindow(n, first, end).Records()
+				view["blade "+n.String()] = s.BladeWindow(n, first, end).Records()
+				view["cabinet "+n.String()] = s.CabinetWindow(n, first, end).Records()
 			}
 		}
-		view["category "+r.Category] = s.Category(r.Category)
-		view["categorywindow "+r.Category] = s.CategoryWindow(r.Category, first, end)
-		view[fmt.Sprint("job ", r.JobID)] = s.Job(r.JobID)
+		view["category "+r.Category] = s.Category(r.Category).Records()
+		view["categorywindow "+r.Category] = s.CategoryWindow(r.Category, first, end).Records()
+		view[fmt.Sprint("job ", r.JobID)] = s.Job(r.JobID).Records()
 	}
 	return view
 }

@@ -4,7 +4,6 @@ import (
 	"time"
 
 	"hpcfail/internal/cname"
-	"hpcfail/internal/events"
 	"hpcfail/internal/faults"
 	"hpcfail/internal/logstore"
 )
@@ -72,7 +71,9 @@ func (c *Correlator) failureNear(node cname.Name, t time.Time, window time.Durat
 // scheduledShutdownNear reports whether the node logged an intended
 // shutdown within ±window of t.
 func (c *Correlator) scheduledShutdownNear(node cname.Name, t time.Time, window time.Duration) bool {
-	for _, r := range c.Store.NodeWindow(node, t.Add(-window), t.Add(window)) {
+	win := c.Store.NodeWindow(node, t.Add(-window), t.Add(window))
+	for i := 0; i < win.Len(); i++ {
+		r := win.At(i)
 		if r.Category == faults.NodeShutdown.Category() && r.Field("intent") == "scheduled" {
 			return true
 		}
@@ -83,7 +84,9 @@ func (c *Correlator) scheduledShutdownNear(node cname.Name, t time.Time, window 
 // AnalyzeNHFs classifies every NHF event in the store.
 func (c *Correlator) AnalyzeNHFs() []NHFAnalysis {
 	var out []NHFAnalysis
-	for _, r := range c.Store.Category(faults.NHF.Category()) {
+	nhfs := c.Store.Category(faults.NHF.Category())
+	for i := 0; i < nhfs.Len(); i++ {
+		r := nhfs.At(i)
 		a := NHFAnalysis{Node: r.Component, Time: r.Time}
 		switch {
 		case c.failureNear(r.Component, r.Time, c.Cfg.ConfirmWindow):
@@ -109,7 +112,9 @@ type NVFAnalysis struct {
 // AnalyzeNVFs classifies every NVF event (Fig 5's 67–97 %).
 func (c *Correlator) AnalyzeNVFs() []NVFAnalysis {
 	var out []NVFAnalysis
-	for _, r := range c.Store.Category(faults.NVF.Category()) {
+	nvfs := c.Store.Category(faults.NVF.Category())
+	for i := 0; i < nvfs.Len(); i++ {
+		r := nvfs.At(i)
 		out = append(out, NVFAnalysis{
 			Node:   r.Component,
 			Time:   r.Time,
@@ -164,7 +169,7 @@ func (c *Correlator) BladeCabinetCorrelation() (bladeFrac, cabFrac float64) {
 // componentFaultNear reports a health fault logged AT the component
 // level (not its children) within ±window of t.
 func (c *Correlator) componentFaultNear(comp cname.Name, t time.Time, window time.Duration) bool {
-	var recs []events.Record
+	var recs logstore.Span
 	switch comp.Level() {
 	case cname.LevelBlade:
 		recs = c.Store.BladeWindow(comp, t.Add(-window), t.Add(window))
@@ -173,8 +178,8 @@ func (c *Correlator) componentFaultNear(comp cname.Name, t time.Time, window tim
 	default:
 		return false
 	}
-	for _, r := range recs {
-		if r.Component == comp && bladeFaultCategories[r.Category] {
+	for i := 0; i < recs.Len(); i++ {
+		if r := recs.At(i); r.Component == comp && bladeFaultCategories[r.Category] {
 			return true
 		}
 	}
@@ -185,8 +190,9 @@ func (c *Correlator) componentFaultNear(comp cname.Name, t time.Time, window tim
 // category in [from, to) — the Fig 8 unique-blade counts.
 func UniqueWarningComponents(store *logstore.Store, category string, from, to time.Time) int {
 	seen := map[cname.Name]bool{}
-	for _, r := range store.CategoryWindow(category, from, to) {
-		if r.Component.IsValid() {
+	win := store.CategoryWindow(category, from, to)
+	for i := 0; i < win.Len(); i++ {
+		if r := win.At(i); r.Component.IsValid() {
 			seen[r.Component] = true
 		}
 	}

@@ -411,8 +411,8 @@ func (e *Engine) fold(batch []events.Record) {
 			continue
 		}
 		tagged := e.store.Job(apid)
-		for i := range tagged {
-			r := &tagged[i]
+		for i := 0; i < tagged.Len(); i++ {
+			r := tagged.At(i)
 			tr := r.Time.UnixNano()
 			if IsTerminal(r) {
 				e.dirtyRange(dirty, r.Component, tr, tr)

@@ -95,7 +95,7 @@ func TestEngineRepublishesJobsOnlyOnChange(t *testing.T) {
 	before := e.Snapshot(0)
 
 	var dup events.Record
-	for _, r := range store.Category("job_end") {
+	for _, r := range store.Category("job_end").Records() {
 		if r.JobID == before.Jobs[len(before.Jobs)-1].ID {
 			dup = r
 		}

@@ -128,8 +128,9 @@ func alarmEligible(cat string) bool {
 // within ±ExternalSlack of t.
 func (p *Predictor) externalNear(node cname.Name, t time.Time) bool {
 	from, to := t.Add(-p.ExternalSlack), t.Add(p.ExternalSlack)
-	for _, r := range p.Store.BladeWindow(node.BladeName(), from, to) {
-		if r.Stream.External() && externalIndicatorCategories[r.Category] {
+	win := p.Store.BladeWindow(node.BladeName(), from, to)
+	for i := 0; i < win.Len(); i++ {
+		if r := win.At(i); r.Stream.External() && externalIndicatorCategories[r.Category] {
 			return true
 		}
 	}

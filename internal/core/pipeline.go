@@ -179,8 +179,9 @@ func (r *Result) Downtime() []time.Duration {
 		return nil
 	}
 	for _, d := range r.Detections {
-		for _, rec := range r.Store.NodeWindow(d.Node, d.Time, last.Add(time.Second)) {
-			if rec.Category == "node_boot" {
+		win := r.Store.NodeWindow(d.Node, d.Time, last.Add(time.Second))
+		for i := 0; i < win.Len(); i++ {
+			if rec := win.At(i); rec.Category == "node_boot" {
 				out = append(out, rec.Time.Sub(d.Time))
 				break
 			}

@@ -7,6 +7,7 @@ import (
 	"hpcfail/internal/cname"
 	"hpcfail/internal/events"
 	"hpcfail/internal/faults"
+	"hpcfail/internal/logstore"
 	"hpcfail/internal/stacktrace"
 	"hpcfail/internal/workload"
 )
@@ -102,7 +103,7 @@ var externalIndicatorCategories = map[string]bool{
 // shard, lock-free and without waiting for the merged global view.
 type StoreView interface {
 	All() []events.Record
-	NodeWindow(node cname.Name, from, to time.Time) []events.Record
+	NodeWindow(node cname.Name, from, to time.Time) logstore.Span
 }
 
 // RootCauser classifies detected failures against a log store.
@@ -118,10 +119,10 @@ type RootCauser struct {
 	// winCache memoizes NodeWindow lookups across Diagnose calls.
 	// Repeated failures of one node within the refractory cadence ask for
 	// overlapping or identical windows; entries are cheap because window
-	// results are shared zero-copy spans. The cache makes a RootCauser
-	// unsafe for concurrent Diagnose — parallel pools hand each worker
-	// its own clone (see diagnosePool).
-	winCache map[windowKey][]events.Record
+	// results are views into the store, not copies. The cache makes a
+	// RootCauser unsafe for concurrent Diagnose — parallel pools hand
+	// each worker its own clone (see diagnosePool).
+	winCache map[windowKey]logstore.Span
 }
 
 // windowKey identifies one memoized NodeWindow lookup.
@@ -131,14 +132,14 @@ type windowKey struct {
 }
 
 // nodeWindow is Store.NodeWindow with memoization.
-func (rc *RootCauser) nodeWindow(node cname.Name, from, to time.Time) []events.Record {
+func (rc *RootCauser) nodeWindow(node cname.Name, from, to time.Time) logstore.Span {
 	k := windowKey{node, from.UnixNano(), to.UnixNano()}
 	if recs, ok := rc.winCache[k]; ok {
 		return recs
 	}
 	recs := rc.Store.NodeWindow(node, from, to)
 	if rc.winCache == nil {
-		rc.winCache = make(map[windowKey][]events.Record)
+		rc.winCache = make(map[windowKey]logstore.Span)
 	}
 	rc.winCache[k] = recs
 	return recs
@@ -168,8 +169,8 @@ func (rc *RootCauser) Diagnose(d Detection) Diagnosis {
 	// decides when available.
 	var bestTrace stacktrace.Classification
 	var haveTrace bool
-	for i := range internal {
-		r := &internal[i]
+	for i := 0; i < internal.Len(); i++ {
+		r := internal.At(i)
 		if !r.Stream.Internal() {
 			continue
 		}
@@ -255,9 +256,10 @@ func (rc *RootCauser) Diagnose(d Detection) Diagnosis {
 	// (link errors) may belong to a sibling's failure in the same
 	// blade-local episode, which would inflate the lead.
 	extFrom := d.Time.Add(-rc.Cfg.ExternalWindow)
-	for _, r := range rc.nodeWindow(d.Node, extFrom, d.Time) {
-		if r.Stream.External() && externalIndicatorCategories[r.Category] {
-			diag.ExternalIndicators = append(diag.ExternalIndicators, r)
+	external := rc.nodeWindow(d.Node, extFrom, d.Time)
+	for i := 0; i < external.Len(); i++ {
+		if r := external.At(i); r.Stream.External() && externalIndicatorCategories[r.Category] {
+			diag.ExternalIndicators = append(diag.ExternalIndicators, *r)
 		}
 	}
 	events.SortByTime(diag.ExternalIndicators)

@@ -125,8 +125,9 @@ func labelledTraces(scn *faultsim.Scenario) []stacktrace.Example {
 	store := logstore.New(scn.Records)
 	var out []stacktrace.Example
 	for _, f := range scn.Failures {
-		for _, r := range store.NodeWindow(f.Node, f.Time.Add(-30*time.Minute), f.Time.Add(time.Second)) {
-			if enc := r.Field("trace"); enc != "" {
+		win := store.NodeWindow(f.Node, f.Time.Add(-30*time.Minute), f.Time.Add(time.Second))
+		for i := 0; i < win.Len(); i++ {
+			if enc := win.At(i).Field("trace"); enc != "" {
 				out = append(out, stacktrace.Example{Trace: stacktrace.Decode(enc), Cause: f.Cause})
 				break
 			}

@@ -44,8 +44,9 @@ func runFig10(cfg Config) (*Result, error) {
 		"day", "hw errors", "mce triggers", "lustre I/O", "pagefault locks", "failed")
 	countNodes := func(cat string, from, to time.Time) int {
 		seen := map[cname.Name]bool{}
-		for _, r := range res.Store.CategoryWindow(cat, from, to) {
-			if r.Component.IsValid() {
+		win := res.Store.CategoryWindow(cat, from, to)
+		for i := 0; i < win.Len(); i++ {
+			if r := win.At(i); r.Component.IsValid() {
 				seen[r.Component] = true
 			}
 		}

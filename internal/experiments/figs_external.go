@@ -201,8 +201,9 @@ func runFig8(cfg Config) (*Result, error) {
 	// Cumulative components with health faults.
 	seen := map[string]bool{}
 	for _, typ := range faults.HealthFaultTypes() {
-		for _, r := range res.Store.CategoryWindow(typ.Category(), simStart, weekEnd) {
-			if r.Component.IsValid() {
+		win := res.Store.CategoryWindow(typ.Category(), simStart, weekEnd)
+		for i := 0; i < win.Len(); i++ {
+			if r := win.At(i); r.Component.IsValid() {
 				seen[r.Component.String()] = true
 			}
 		}
@@ -238,8 +239,9 @@ func runFig9(cfg Config) (*Result, error) {
 		}
 		var ts []time.Time
 		for _, typ := range faults.SEDCWarningTypes() {
-			for _, r := range res.Store.CategoryWindow(typ.Category(), simStart, simStart.Add(24*time.Hour)) {
-				if r.Component == blades[bi] {
+			win := res.Store.CategoryWindow(typ.Category(), simStart, simStart.Add(24*time.Hour))
+			for i := 0; i < win.Len(); i++ {
+				if r := win.At(i); r.Component == blades[bi] {
 					ts = append(ts, r.Time)
 				}
 			}

@@ -255,7 +255,7 @@ func splitPrefix(line string) (ts time.Time, comp cname.Name, daemon, rest strin
 // parseInternal handles console/messages/consumer lines including
 // multi-line call traces.
 func parseInternal(stream events.Stream, lines []string) ([]events.Record, []error) {
-	var recs []events.Record
+	recs := make([]events.Record, 0, len(lines))
 	var errs []error
 	var traceLines []string // pending raw trace lines for the last record
 	flushTrace := func() {
@@ -343,7 +343,7 @@ func parseInternal(stream events.Stream, lines []string) ([]events.Record, []err
 // parseTagged handles controller and ERD lines:
 // "{ts} {comp} {daemon}: {category} {SEV} {msg} |k=v k=v".
 func parseTagged(stream events.Stream, lines []string) ([]events.Record, []error) {
-	var recs []events.Record
+	recs := make([]events.Record, 0, len(lines))
 	var errs []error
 	for i, line := range lines {
 		if strings.TrimSpace(line) == "" {
@@ -424,7 +424,7 @@ func parseFieldsInto(r *events.Record, s string) {
 
 // parseALPS handles "ts apsched: CATEGORY jobid=N apid=M [status=S] [nodes=...]".
 func parseALPS(lines []string) ([]events.Record, []error) {
-	var recs []events.Record
+	recs := make([]events.Record, 0, len(lines))
 	var errs []error
 	for i, line := range lines {
 		if strings.TrimSpace(line) == "" {
@@ -480,7 +480,7 @@ func parseALPS(lines []string) ([]events.Record, []error) {
 
 // parseSlurm handles "ts slurmctld: JobId=N Action=... K=V ...".
 func parseSlurm(lines []string) ([]events.Record, []error) {
-	var recs []events.Record
+	recs := make([]events.Record, 0, len(lines))
 	var errs []error
 	for i, line := range lines {
 		if strings.TrimSpace(line) == "" {
@@ -509,7 +509,7 @@ func parseSlurm(lines []string) ([]events.Record, []error) {
 
 // parseTorque handles "ts;CODE;N.sdb;Action=... K=V ...".
 func parseTorque(lines []string) ([]events.Record, []error) {
-	var recs []events.Record
+	recs := make([]events.Record, 0, len(lines))
 	var errs []error
 	for i, line := range lines {
 		if strings.TrimSpace(line) == "" {

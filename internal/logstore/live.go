@@ -2,6 +2,7 @@ package logstore
 
 import (
 	"slices"
+	"sort"
 
 	"hpcfail/internal/cname"
 	"hpcfail/internal/events"
@@ -22,14 +23,18 @@ import (
 // where earlier arrivals carry smaller indices.
 //
 // Snapshot safety: previously returned snapshots stay valid while the
-// Live keeps mutating. In-order appends reuse the tail capacity of the
-// live slices — invisible to snapshots because every span a Store hands
-// out is capacity-capped at its length — and out-of-order arrivals
-// rebuild the affected key's slice copy-on-write, leaving the old array
-// to the old snapshots. The index maps are sharded by key hash and
-// shared with the snapshots shard by shard: Snapshot copies the shard
-// tables (spanShards pointers per family) and the next Apply clones only
-// the shards it writes to, so neither grows with the number of keys.
+// Live keeps mutating. A snapshot holds its own header of the record log
+// and of every position list, and a Span resolves positions against the
+// log of the snapshot that answered. An in-order batch appends to the
+// log and to its keys' lists, writing only beyond every snapshot's
+// length (a position keeps its meaning when the log's array is
+// reallocated). An out-of-order batch moves records, so the log and
+// every list holding a moved position are rebuilt into fresh arrays,
+// leaving the old ones to the old snapshots. The index maps are sharded
+// by key hash and shared with the snapshots shard by shard: Snapshot
+// copies the shard tables (indexShards pointers per family) and the next
+// Apply clones only the shards it writes to, so neither grows with the
+// number of keys.
 //
 // Live itself is not safe for concurrent use; the owner serialises
 // Apply/Snapshot (the server holds its engine mutex across both).
@@ -43,28 +48,28 @@ type Live struct {
 	byJob      liveIndex[int64]
 }
 
-// liveIndex is a spanIndex under single-writer mutation. A shard is
+// liveIndex is a posIndex under single-writer mutation. A shard is
 // owned once it was created or cloned after the last snapshot; only
 // owned shards are written in place.
 type liveIndex[K comparable] struct {
-	spanIndex[K]
+	posIndex[K]
 	owned []bool
 }
 
 func newLiveIndex[K comparable](hash func(K) uint32) liveIndex[K] {
-	return liveIndex[K]{spanIndex: newSpanIndex(hash), owned: make([]bool, spanShards)}
+	return liveIndex[K]{posIndex: newPosIndex(hash), owned: make([]bool, indexShards)}
 }
 
 // adoptIndex starts a live index from a finished one without sharing
-// anything writable: every shard is cloned and every span capped, so
-// the first append to an adopted span moves it to a fresh array.
-func adoptIndex[K comparable](from spanIndex[K], hash func(K) uint32) liveIndex[K] {
+// anything writable: every shard is cloned and every list capped, so
+// the first append to an adopted list moves it to a fresh array.
+func adoptIndex[K comparable](from posIndex[K], hash func(K) uint32) liveIndex[K] {
 	x := newLiveIndex(hash)
 	for i, m := range from.shards {
 		if len(m) == 0 {
 			continue
 		}
-		c := make(map[K][]events.Record, len(m))
+		c := make(map[K][]uint32, len(m))
 		for k, v := range m {
 			c[k] = v[:len(v):len(v)]
 		}
@@ -73,26 +78,41 @@ func adoptIndex[K comparable](from spanIndex[K], hash func(K) uint32) liveIndex[
 	return x
 }
 
-// merge folds a canonically sorted addition into the key's span,
-// cloning the key's shard first if a snapshot shares it.
-func (x *liveIndex[K]) merge(k K, add []events.Record) {
-	i := x.hash(k) % spanShards
-	m := x.shards[i]
-	if !x.owned[i] {
-		c := make(map[K][]events.Record, len(m)+1)
-		for k, v := range m {
-			c[k] = v
+// reindex brings the family up to date with a log whose records at
+// positions from and beyond are new or have moved: every key of such a
+// record keeps its positions before from and gains, in order, the
+// positions its records now have.
+func (x *liveIndex[K]) reindex(recs []events.Record, from int, key func(*events.Record) (K, bool)) {
+	adds := map[K][]uint32{}
+	for i := from; i < len(recs); i++ {
+		if k, ok := key(&recs[i]); ok {
+			adds[k] = append(adds[k], uint32(i))
 		}
-		m, x.shards[i], x.owned[i] = c, c, true
 	}
-	m[k] = mergeSpan(m[k], add)
+	for k, add := range adds {
+		i := x.hash(k) % indexShards
+		m := x.shards[i]
+		if !x.owned[i] {
+			c := make(map[K][]uint32, len(m)+1)
+			for k, v := range m {
+				c[k] = v
+			}
+			m, x.shards[i], x.owned[i] = c, c, true
+		}
+		old := m[k]
+		if keep, _ := slices.BinarySearch(old, uint32(from)); keep < len(old) {
+			// The key had records that moved: snapshots hold the old array.
+			old = slices.Clip(old[:keep])
+		}
+		m[k] = append(old, add...)
+	}
 }
 
 // snapshot hands out the index as it stands; every shard is shared
 // from here on.
-func (x *liveIndex[K]) snapshot() spanIndex[K] {
+func (x *liveIndex[K]) snapshot() posIndex[K] {
 	clear(x.owned)
-	return spanIndex[K]{hash: x.hash, shards: slices.Clone(x.shards)}
+	return posIndex[K]{hash: x.hash, shards: slices.Clone(x.shards)}
 }
 
 // NewLive returns an empty live store.
@@ -113,8 +133,9 @@ func NewLive() *Live {
 // Apply on it behaves as if every record of s had been applied first,
 // without indexing them a second time. s is not consumed — it stays
 // immutable and in use by its other holders: the index maps are cloned
-// and every span is capacity-capped, so the first append to any adopted
-// span moves it to a fresh array instead of writing into s's slab.
+// and the log and every position list are capacity-capped, so the first
+// append to any of them moves it to a fresh array instead of writing
+// into s's.
 func LiveFrom(s *Store) *Live {
 	return &Live{
 		recs:       s.recs[:len(s.recs):len(s.recs)],
@@ -140,25 +161,20 @@ func recBefore(a, b *events.Record) bool {
 	return cname.Compare(a.Component, b.Component) < 0
 }
 
-// mergeSpan merges a canonically-sorted addition into a canonically-
-// sorted span, old records winning ties. When the addition belongs
-// entirely after the existing records the span grows in place (tail
-// capacity is invisible to capped snapshot views); otherwise the merge
-// builds a fresh array so snapshots holding the old one stay intact.
-func mergeSpan(old, add []events.Record) []events.Record {
-	if len(add) == 0 {
-		return old
+// mergeLog merges a canonically sorted batch into the canonically sorted
+// log, old records winning ties, and reports the first position whose
+// record is new or has moved. A batch that belongs entirely after the
+// log grows it in place (tail capacity is invisible to snapshots, whose
+// headers end at their length); otherwise the merge builds a fresh array
+// so snapshots holding the old one stay intact.
+func mergeLog(old, add []events.Record) (merged []events.Record, from int) {
+	if len(old) == 0 || !recBefore(&add[0], &old[len(old)-1]) {
+		return append(old, add...), len(old)
 	}
-	if len(old) == 0 {
-		cp := make([]events.Record, len(add))
-		copy(cp, add)
-		return cp
-	}
-	if !recBefore(&add[0], &old[len(old)-1]) {
-		return append(old, add...)
-	}
-	out := make([]events.Record, 0, len(old)+len(add))
-	i, j := 0, 0
+	from = sort.Search(len(old), func(i int) bool { return recBefore(&add[0], &old[i]) })
+	out := make([]events.Record, from, len(old)+len(add))
+	copy(out, old[:from])
+	i, j := from, 0
 	for i < len(old) && j < len(add) {
 		if recBefore(&add[j], &old[i]) {
 			out = append(out, add[j])
@@ -169,7 +185,7 @@ func mergeSpan(old, add []events.Record) []events.Record {
 		}
 	}
 	out = append(out, old[i:]...)
-	return append(out, add[j:]...)
+	return append(out, add[j:]...), from
 }
 
 // Apply merges one batch into the live corpus. The batch must already
@@ -180,46 +196,14 @@ func (l *Live) Apply(batch []events.Record) {
 	if len(batch) == 0 {
 		return
 	}
-	l.recs = mergeSpan(l.recs, batch)
-
-	// Group the batch per key (preserving batch order, which is the
-	// canonical order restricted to the key) and merge family by family.
-	nodeAdds := map[cname.Name][]events.Record{}
-	bladeAdds := map[cname.Name][]events.Record{}
-	cabAdds := map[cname.Name][]events.Record{}
-	catAdds := map[string][]events.Record{}
-	jobAdds := map[int64][]events.Record{}
-	for i := range batch {
-		r := &batch[i]
-		if c := r.Component; c.IsValid() {
-			if c.Level() == cname.LevelNode {
-				nodeAdds[c] = append(nodeAdds[c], *r)
-			}
-			if b := c.BladeName(); b.IsValid() {
-				bladeAdds[b] = append(bladeAdds[b], *r)
-			}
-			cabAdds[c.CabinetName()] = append(cabAdds[c.CabinetName()], *r)
-		}
-		catAdds[r.Category] = append(catAdds[r.Category], *r)
-		if r.JobID != 0 {
-			jobAdds[r.JobID] = append(jobAdds[r.JobID], *r)
-		}
-	}
-	for k, add := range nodeAdds {
-		l.byNode.merge(k, add)
-	}
-	for k, add := range bladeAdds {
-		l.byBlade.merge(k, add)
-	}
-	for k, add := range cabAdds {
-		l.byCabinet.merge(k, add)
-	}
-	for k, add := range catAdds {
-		l.byCategory.merge(k, add)
-	}
-	for k, add := range jobAdds {
-		l.byJob.merge(k, add)
-	}
+	checkPositions(len(l.recs) + len(batch))
+	var from int
+	l.recs, from = mergeLog(l.recs, batch)
+	l.byNode.reindex(l.recs, from, nodeKey)
+	l.byBlade.reindex(l.recs, from, bladeKey)
+	l.byCabinet.reindex(l.recs, from, cabinetKey)
+	l.byCategory.reindex(l.recs, from, categoryKey)
+	l.byJob.reindex(l.recs, from, jobKey)
 }
 
 // Len returns the live record count.

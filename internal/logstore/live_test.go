@@ -13,10 +13,13 @@ import (
 // liveArrivals cuts a generated corpus into canonically sorted batches
 // whose arrival order is not time order: every third batch changes
 // places with the one before it, so the Live sees in-place appends and
-// copy-on-write merges on keys it already holds.
+// rebuilt position lists on keys it already holds.
 func liveArrivals(t *testing.T, per int) (arrivals []events.Record, batches [][]events.Record) {
 	t.Helper()
-	recs := shardScenario(t).Records
+	return liveArrivalsOf(shardScenario(t).Records, per)
+}
+
+func liveArrivalsOf(recs []events.Record, per int) (arrivals []events.Record, batches [][]events.Record) {
 	n := len(recs)
 	for lo := 0; lo < n; lo += per {
 		b := append([]events.Record(nil), recs[lo:min(lo+per, n)]...)
@@ -48,28 +51,28 @@ func sameStore(t *testing.T, label string, got, want *Store, keys []events.Recor
 		if c := r.Component; c.IsValid() && !seenComp[c] {
 			seenComp[c] = true
 			for _, n := range []cname.Name{c, c.BladeName(), c.CabinetName()} {
-				sameRecords(t, label+": node "+n.String(), got.NodeWindow(n, from, to), want.NodeWindow(n, from, to))
-				sameRecords(t, label+": blade "+n.String(), got.BladeWindow(n, from, to), want.BladeWindow(n, from, to))
-				sameRecords(t, label+": cabinet "+n.String(), got.CabinetWindow(n, from, to), want.CabinetWindow(n, from, to))
+				sameSpan(t, label+": node "+n.String(), got.NodeWindow(n, from, to), want.NodeWindow(n, from, to).Records())
+				sameSpan(t, label+": blade "+n.String(), got.BladeWindow(n, from, to), want.BladeWindow(n, from, to).Records())
+				sameSpan(t, label+": cabinet "+n.String(), got.CabinetWindow(n, from, to), want.CabinetWindow(n, from, to).Records())
 			}
 		}
 		if !seenCat[r.Category] {
 			seenCat[r.Category] = true
-			sameRecords(t, label+": category "+r.Category, got.Category(r.Category), want.Category(r.Category))
+			sameSpan(t, label+": category "+r.Category, got.Category(r.Category), want.Category(r.Category).Records())
 		}
 		if !seenJob[r.JobID] {
 			seenJob[r.JobID] = true
-			sameRecords(t, label+": job", got.Job(r.JobID), want.Job(r.JobID))
+			sameSpan(t, label+": job", got.Job(r.JobID), want.Job(r.JobID).Records())
 		}
 	}
 }
 
 // TestLiveSnapshotsSurviveLaterApplies pins snapshot safety under shard
 // sharing: a Live and the Stores it stamped out hold the same shard
-// maps and span arrays, so every snapshot is re-read after the Live
+// maps and position arrays, so every snapshot is re-read after the Live
 // took all later batches and must still answer like New over exactly
 // the records that had arrived when it was taken. A write that skipped
-// the shard copy, or an append visible past a span's length, shows up
+// the shard copy, or an append visible past a list's length, shows up
 // as an old snapshot growing a record or a key.
 func TestLiveSnapshotsSurviveLaterApplies(t *testing.T) {
 	arrivals, batches := liveArrivals(t, 64)
@@ -145,4 +148,54 @@ func TestLiveSnapshotSharesUntouchedShards(t *testing.T) {
 			t.Fatalf("node index populates %d shards — too few for the check to mean anything", populated)
 		}
 	}
+}
+
+// TestLiveOutOfOrderKeepsPositions pins the out-of-order path, where
+// records move: a batch lands one hour before the end of the log, so
+// every position after it shifts and every list naming one is rebuilt.
+// Snapshots taken before must still answer from their own log and
+// lists, the Live must answer like New over the same arrivals — also
+// for keys only the displaced tail names, not the batch — and in-order
+// appends afterwards must extend the rebuilt lists.
+func TestLiveOutOfOrderKeepsPositions(t *testing.T) {
+	sorted := New(shardScenario(t).Records).All()
+	// The scenario's last records trail off (jobs ending after the
+	// simulated window); the log proper ends two days in.
+	end := sorted[0].Time.Add(48 * time.Hour)
+	p, q := searchTime(sorted, end.Add(-time.Hour)), searchTime(sorted, end)
+	if q-p < 32 || q == len(sorted) {
+		t.Fatalf("only %d records in the last hour — too few for the batch to displace anything", q-p)
+	}
+	late := sorted[p : p+16]
+	var arrivals []events.Record
+	var batches [][]events.Record
+	for _, b := range [][]events.Record{sorted[:p/2], sorted[p/2 : p], sorted[p+16 : q], late, sorted[q:]} {
+		batches = append(batches, b)
+		arrivals = append(arrivals, b...)
+	}
+
+	live := NewLive()
+	var adopted *Live
+	var seed *Store
+	var snaps []*Store
+	var cuts []int
+	arrived := 0
+	for i, b := range batches {
+		if i == 3 {
+			seed = New(arrivals[:arrived])
+			adopted = LiveFrom(seed)
+		}
+		live.Apply(b)
+		if adopted != nil {
+			adopted.Apply(b)
+		}
+		arrived += len(b)
+		snaps = append(snaps, live.Snapshot())
+		cuts = append(cuts, arrived)
+	}
+	for i, s := range snaps {
+		sameStore(t, fmt.Sprintf("snapshot %d", i), s, New(arrivals[:cuts[i]]), arrivals)
+	}
+	sameStore(t, "adopted", adopted.Snapshot(), New(arrivals), arrivals)
+	sameStore(t, "seeding store", seed, New(arrivals[:cuts[2]]), arrivals)
 }

@@ -13,6 +13,7 @@ package logstore
 import (
 	"errors"
 	"fmt"
+	"math"
 	"os"
 	"path/filepath"
 	"sort"
@@ -30,61 +31,113 @@ import (
 // Store is an immutable, time-sorted event collection with secondary
 // indexes. Build one with New; the zero value is an empty store.
 //
-// Each secondary index is a per-key contiguous span: all of a key's
-// records laid out adjacently in one slab, time-ascending. Window
-// queries binary-search inside the span and return a subslice — zero
-// copies, zero allocations per query. Spans are carved with a capped
-// capacity so a caller appending to a result cannot scribble into the
-// next key's records.
+// Every record is held once, in the time-ordered log. A secondary index
+// maps its key to the ascending positions of the key's records in that
+// log: 4 bytes an entry, one []uint32 slab per family with every key's
+// positions adjacent. Ascending positions are time-ascending records, so
+// a window query is a binary search over a position list and comes back
+// as a Span — a view, zero copies and zero allocations per query.
 type Store struct {
 	recs []events.Record
 
-	byNode     spanIndex[cname.Name]
-	byBlade    spanIndex[cname.Name]
-	byCabinet  spanIndex[cname.Name]
-	byCategory spanIndex[string]
-	byJob      spanIndex[int64]
+	byNode     posIndex[cname.Name]
+	byBlade    posIndex[cname.Name]
+	byCabinet  posIndex[cname.Name]
+	byCategory posIndex[string]
+	byJob      posIndex[int64]
 }
 
-// spanShards is how many maps one index family is split into, by key
+// Span is the answer to an index query: the records of one key, or a
+// time window of them, time-ascending. It is a view into the Store that
+// answered — valid for as long as that Store is, whatever a Live does
+// afterwards — and the zero value is an empty span.
+type Span struct {
+	recs []events.Record // the answering store's log
+	pos  []uint32        // ascending positions into recs
+}
+
+// Len returns the number of records in the span.
+func (sp Span) Len() int { return len(sp.pos) }
+
+// At returns record i of the span. It points into the store's log:
+// callers must not modify it.
+func (sp Span) At(i int) *events.Record { return &sp.recs[sp.pos[i]] }
+
+// Window narrows the span to records with Time in [from, to).
+func (sp Span) Window(from, to time.Time) Span {
+	lo := sp.searchTime(0, from)
+	return Span{recs: sp.recs, pos: sp.pos[lo:sp.searchTime(lo, to)]}
+}
+
+// searchTime returns the first index at or after lo whose record has
+// Time >= t. Hand-rolled like the log's searchTime, for the same reason.
+func (sp Span) searchTime(lo int, t time.Time) int {
+	hi := len(sp.pos)
+	for lo < hi {
+		mid := int(uint(lo+hi) >> 1)
+		if sp.recs[sp.pos[mid]].Time.Before(t) {
+			lo = mid + 1
+		} else {
+			hi = mid
+		}
+	}
+	return lo
+}
+
+// Records copies the span out. It allocates Len records: for tests,
+// oracles and cold paths, never for the diagnosis path.
+func (sp Span) Records() []events.Record {
+	out := make([]events.Record, len(sp.pos))
+	for i, p := range sp.pos {
+		out[i] = sp.recs[p]
+	}
+	return out
+}
+
+// checkPositions panics when a log of n records has positions a uint32
+// cannot hold; an index built past that would silently wrap.
+func checkPositions(n int) {
+	if uint64(n) > math.MaxUint32 {
+		panic(fmt.Sprintf("logstore: %d records exceed the 2^32 positions an index can address", n))
+	}
+}
+
+// indexShards is how many maps one index family is split into, by key
 // hash. A batch-built Store never notices the split. A Live does: the
 // Stores it stamps out share its shard maps, and the next Apply clones
 // only the shards it writes to — a snapshot costs the shard table, not
 // the key count (see Live).
-const spanShards = 256
+const indexShards = 256
 
-// spanIndex is one secondary-index family: key → time-ascending span.
+// posIndex is one secondary-index family: key → ascending positions.
 // The zero value is an empty index.
-type spanIndex[K comparable] struct {
+type posIndex[K comparable] struct {
 	hash   func(K) uint32
-	shards []map[K][]events.Record // nil, or spanShards maps (nil = empty)
+	shards []map[K][]uint32 // nil, or indexShards maps (nil = empty)
 }
 
-func newSpanIndex[K comparable](hash func(K) uint32) spanIndex[K] {
-	return spanIndex[K]{hash: hash, shards: make([]map[K][]events.Record, spanShards)}
+func newPosIndex[K comparable](hash func(K) uint32) posIndex[K] {
+	return posIndex[K]{hash: hash, shards: make([]map[K][]uint32, indexShards)}
 }
 
 // put adds a key while the index is being built; shards are sized to
 // an even share of sizeHint keys.
-func (x *spanIndex[K]) put(k K, span []events.Record, sizeHint int) {
-	i := x.hash(k) % spanShards
+func (x *posIndex[K]) put(k K, pos []uint32, sizeHint int) {
+	i := x.hash(k) % indexShards
 	m := x.shards[i]
 	if m == nil {
-		m = make(map[K][]events.Record, sizeHint/spanShards+1)
+		m = make(map[K][]uint32, sizeHint/indexShards+1)
 		x.shards[i] = m
 	}
-	m[k] = span
+	m[k] = pos
 }
 
-// get returns the key's span, capacity-capped: a shard shared with a
-// Live holds spans whose tail capacity the Live appends into, and a
-// caller appending to a result must not reach it.
-func (x *spanIndex[K]) get(k K) []events.Record {
+// get returns the key's positions.
+func (x *posIndex[K]) get(k K) []uint32 {
 	if x.shards == nil {
 		return nil
 	}
-	v := x.shards[x.hash(k)%spanShards][k]
-	return v[:len(v):len(v)]
+	return x.shards[x.hash(k)%indexShards][k]
 }
 
 // Shard hashes: any function of the key will do, as long as every bit
@@ -133,12 +186,13 @@ func NewOwned(recs []events.Record) *Store {
 	return newFromSorted(recs)
 }
 
-// buildSpans partitions time-sorted records into per-key contiguous
-// spans: one slab per index family, every key's records adjacent and
-// time-ascending, each span three-index sliced so its capacity ends at
-// the span boundary. key reports a record's key for the family
+// buildIndex partitions the positions of time-sorted records by key: one
+// slab per index family, every key's positions adjacent and ascending,
+// each list three-index sliced so its capacity ends at the list boundary
+// (a Live adopting the index then grows a list into a fresh array, never
+// into the next key's). key reports a record's key for the family
 // (ok=false skips the record).
-func buildSpans[K comparable](recs []events.Record, hash func(K) uint32, key func(*events.Record) (K, bool)) spanIndex[K] {
+func buildIndex[K comparable](recs []events.Record, hash func(K) uint32, key func(*events.Record) (K, bool)) posIndex[K] {
 	counts := make(map[K]int)
 	total := 0
 	for i := range recs {
@@ -147,7 +201,7 @@ func buildSpans[K comparable](recs []events.Record, hash func(K) uint32, key fun
 			total++
 		}
 	}
-	slab := make([]events.Record, total)
+	slab := make([]uint32, total)
 	cursors := make(map[K]int, len(counts))
 	off := 0
 	for k, c := range counts {
@@ -157,27 +211,27 @@ func buildSpans[K comparable](recs []events.Record, hash func(K) uint32, key fun
 	for i := range recs {
 		if k, ok := key(&recs[i]); ok {
 			j := cursors[k]
-			slab[j] = recs[i]
+			slab[j] = uint32(i)
 			cursors[k] = j + 1
 		}
 	}
-	spans := newSpanIndex(hash)
+	idx := newPosIndex(hash)
 	for k, c := range counts {
 		end := cursors[k]
-		spans.put(k, slab[end-c:end:end], len(counts))
+		idx.put(k, slab[end-c:end:end], len(counts))
 	}
-	return spans
+	return idx
 }
 
-// spanAcc accumulates one cname-keyed span family using packed
-// one-word cname.Key hashes instead of six-field struct hashes.
-type spanAcc struct {
+// posAcc accumulates one cname-keyed index family using packed one-word
+// cname.Key hashes instead of six-field struct hashes.
+type posAcc struct {
 	idx   map[uint64]int32
-	slots []spanSlot
+	slots []posSlot
 	total int
 }
 
-type spanSlot struct {
+type posSlot struct {
 	name  cname.Name
 	count int
 	cur   int
@@ -186,7 +240,7 @@ type spanSlot struct {
 // count tallies one occurrence of k. It reports false when k doesn't
 // pack (coordinates outside 12 bits — never produced by the simulated
 // topologies), signalling the caller to fall back to struct hashing.
-func (a *spanAcc) count(k cname.Name) bool {
+func (a *posAcc) count(k cname.Name) bool {
 	pk, ok := k.Key()
 	if !ok {
 		return false
@@ -194,7 +248,7 @@ func (a *spanAcc) count(k cname.Name) bool {
 	si, seen := a.idx[pk]
 	if !seen {
 		si = int32(len(a.slots))
-		a.slots = append(a.slots, spanSlot{name: k})
+		a.slots = append(a.slots, posSlot{name: k})
 		a.idx[pk] = si
 	}
 	a.slots[si].count++
@@ -203,27 +257,27 @@ func (a *spanAcc) count(k cname.Name) bool {
 }
 
 // layout allocates the family slab and assigns per-key offsets.
-func (a *spanAcc) layout() []events.Record {
+func (a *posAcc) layout() []uint32 {
 	off := 0
 	for i := range a.slots {
 		a.slots[i].cur = off
 		off += a.slots[i].count
 	}
-	return make([]events.Record, a.total)
+	return make([]uint32, a.total)
 }
 
-// fill places one record into its key's region of the slab.
-func (a *spanAcc) fill(slab []events.Record, k cname.Name, r *events.Record) {
+// fill places one position into its key's region of the slab.
+func (a *posAcc) fill(slab []uint32, k cname.Name, pos uint32) {
 	pk, _ := k.Key()
 	si := a.idx[pk]
 	c := a.slots[si].cur
-	slab[c] = *r
+	slab[c] = pos
 	a.slots[si].cur = c + 1
 }
 
-// spans carves the filled slab into capped per-key subslices.
-func (a *spanAcc) spans(slab []events.Record) spanIndex[cname.Name] {
-	out := newSpanIndex(hashName)
+// index carves the filled slab into capped per-key lists.
+func (a *posAcc) index(slab []uint32) posIndex[cname.Name] {
+	out := newPosIndex(hashName)
 	for _, s := range a.slots {
 		out.put(s.name, slab[s.cur-s.count:s.cur:s.cur], len(a.slots))
 	}
@@ -246,49 +300,52 @@ func cabinetKey(r *events.Record) (cname.Name, bool) {
 	return r.Component.CabinetName(), r.Component.IsValid()
 }
 
-// buildComponentSpans builds the node, blade, and cabinet span families
-// in one pair of passes: all three keys derive from r.Component, so a
+func categoryKey(r *events.Record) (string, bool) { return r.Category, true }
+
+func jobKey(r *events.Record) (int64, bool) { return r.JobID, r.JobID != 0 }
+
+// buildComponentIndexes builds the node, blade, and cabinet families in
+// one pair of passes: all three keys derive from r.Component, so a
 // single traversal computes them together instead of six family scans.
-func buildComponentSpans(recs []events.Record) (byNode, byBlade, byCabinet spanIndex[cname.Name]) {
-	nodeAcc := spanAcc{idx: make(map[uint64]int32)}
-	bladeAcc := spanAcc{idx: make(map[uint64]int32)}
-	cabAcc := spanAcc{idx: make(map[uint64]int32)}
+func buildComponentIndexes(recs []events.Record) (byNode, byBlade, byCabinet posIndex[cname.Name]) {
+	nodeAcc := posAcc{idx: make(map[uint64]int32)}
+	bladeAcc := posAcc{idx: make(map[uint64]int32)}
+	cabAcc := posAcc{idx: make(map[uint64]int32)}
 	for i := range recs {
 		c := recs[i].Component
 		if !c.IsValid() {
 			continue
 		}
 		if c.Level() == cname.LevelNode && !nodeAcc.count(c) {
-			return componentSpanFallback(recs)
+			return componentIndexFallback(recs)
 		}
 		if b := c.BladeName(); b.IsValid() && !bladeAcc.count(b) {
-			return componentSpanFallback(recs)
+			return componentIndexFallback(recs)
 		}
 		if !cabAcc.count(c.CabinetName()) {
-			return componentSpanFallback(recs)
+			return componentIndexFallback(recs)
 		}
 	}
 	nodeSlab, bladeSlab, cabSlab := nodeAcc.layout(), bladeAcc.layout(), cabAcc.layout()
 	for i := range recs {
-		r := &recs[i]
-		c := r.Component
+		c := recs[i].Component
 		if !c.IsValid() {
 			continue
 		}
 		if c.Level() == cname.LevelNode {
-			nodeAcc.fill(nodeSlab, c, r)
+			nodeAcc.fill(nodeSlab, c, uint32(i))
 		}
 		if b := c.BladeName(); b.IsValid() {
-			bladeAcc.fill(bladeSlab, b, r)
+			bladeAcc.fill(bladeSlab, b, uint32(i))
 		}
-		cabAcc.fill(cabSlab, c.CabinetName(), r)
+		cabAcc.fill(cabSlab, c.CabinetName(), uint32(i))
 	}
-	return nodeAcc.spans(nodeSlab), bladeAcc.spans(bladeSlab), cabAcc.spans(cabSlab)
+	return nodeAcc.index(nodeSlab), bladeAcc.index(bladeSlab), cabAcc.index(cabSlab)
 }
 
-// componentSpanFallback is the struct-hashed path for unpackable names.
-func componentSpanFallback(recs []events.Record) (byNode, byBlade, byCabinet spanIndex[cname.Name]) {
-	return buildSpans(recs, hashName, nodeKey), buildSpans(recs, hashName, bladeKey), buildSpans(recs, hashName, cabinetKey)
+// componentIndexFallback is the struct-hashed path for unpackable names.
+func componentIndexFallback(recs []events.Record) (byNode, byBlade, byCabinet posIndex[cname.Name]) {
+	return buildIndex(recs, hashName, nodeKey), buildIndex(recs, hashName, bladeKey), buildIndex(recs, hashName, cabinetKey)
 }
 
 // newFromSorted builds the secondary indexes over records that are
@@ -296,18 +353,15 @@ func componentSpanFallback(recs []events.Record) (byNode, byBlade, byCabinet spa
 // over ownership (the sharded loader uses this to index each sealed
 // shard and the merged view without duplicating the corpus).
 func newFromSorted(recs []events.Record) *Store {
-	byNode, byBlade, byCabinet := buildComponentSpans(recs)
+	checkPositions(len(recs))
+	byNode, byBlade, byCabinet := buildComponentIndexes(recs)
 	return &Store{
-		recs:      recs,
-		byNode:    byNode,
-		byBlade:   byBlade,
-		byCabinet: byCabinet,
-		byCategory: buildSpans(recs, hashString, func(r *events.Record) (string, bool) {
-			return r.Category, true
-		}),
-		byJob: buildSpans(recs, hashInt64, func(r *events.Record) (int64, bool) {
-			return r.JobID, r.JobID != 0
-		}),
+		recs:       recs,
+		byNode:     byNode,
+		byBlade:    byBlade,
+		byCabinet:  byCabinet,
+		byCategory: buildIndex(recs, hashString, categoryKey),
+		byJob:      buildIndex(recs, hashInt64, jobKey),
 	}
 }
 
@@ -322,13 +376,13 @@ func (s *Store) All() []events.Record { return s.recs }
 func (s *Store) At(i int) events.Record { return s.recs[i] }
 
 // searchTime returns the index of the first record in the time-sorted
-// span with Time >= t. Hand-rolled (rather than sort.Search) so window
+// log with Time >= t. Hand-rolled (rather than sort.Search) so window
 // queries are provably allocation-free — no closure, no interface.
-func searchTime(span []events.Record, t time.Time) int {
-	lo, hi := 0, len(span)
+func searchTime(recs []events.Record, t time.Time) int {
+	lo, hi := 0, len(recs)
 	for lo < hi {
 		mid := int(uint(lo+hi) >> 1)
-		if span[mid].Time.Before(t) {
+		if recs[mid].Time.Before(t) {
 			lo = mid + 1
 		} else {
 			hi = mid
@@ -337,52 +391,45 @@ func searchTime(span []events.Record, t time.Time) int {
 	return lo
 }
 
-// windowOf narrows a time-sorted span to [from, to). The result is a
-// subslice of the span — shared storage, zero allocations; callers must
-// not modify it.
-func windowOf(span []events.Record, from, to time.Time) []events.Record {
-	lo := searchTime(span, from)
-	hi := lo + searchTime(span[lo:], to)
-	return span[lo:hi:hi]
-}
-
-// Window returns all records with Time in [from, to).
+// Window returns all records with Time in [from, to): a subslice of the
+// log — shared storage, zero allocations; callers must not modify it.
 func (s *Store) Window(from, to time.Time) []events.Record {
-	return windowOf(s.recs, from, to)
+	lo := searchTime(s.recs, from)
+	hi := lo + searchTime(s.recs[lo:], to)
+	return s.recs[lo:hi:hi]
 }
 
 // NodeWindow returns the node's records in [from, to). Only node-level
-// components match; blade/cabinet records do not. The result is a
-// shared zero-copy span — callers must not modify it.
-func (s *Store) NodeWindow(node cname.Name, from, to time.Time) []events.Record {
-	return windowOf(s.byNode.get(node), from, to)
+// components match; blade/cabinet records do not.
+func (s *Store) NodeWindow(node cname.Name, from, to time.Time) Span {
+	return Span{s.recs, s.byNode.get(node)}.Window(from, to)
 }
 
 // BladeWindow returns records of the blade and everything on it
 // (including its nodes) in [from, to).
-func (s *Store) BladeWindow(blade cname.Name, from, to time.Time) []events.Record {
-	return windowOf(s.byBlade.get(blade), from, to)
+func (s *Store) BladeWindow(blade cname.Name, from, to time.Time) Span {
+	return Span{s.recs, s.byBlade.get(blade)}.Window(from, to)
 }
 
 // CabinetWindow returns records of the cabinet and everything in it in
 // [from, to).
-func (s *Store) CabinetWindow(cab cname.Name, from, to time.Time) []events.Record {
-	return windowOf(s.byCabinet.get(cab), from, to)
+func (s *Store) CabinetWindow(cab cname.Name, from, to time.Time) Span {
+	return Span{s.recs, s.byCabinet.get(cab)}.Window(from, to)
 }
 
 // Category returns all records with the given category, time-ascending.
-func (s *Store) Category(cat string) []events.Record {
-	return s.byCategory.get(cat)
+func (s *Store) Category(cat string) Span {
+	return Span{s.recs, s.byCategory.get(cat)}
 }
 
 // CategoryWindow returns the category's records in [from, to).
-func (s *Store) CategoryWindow(cat string, from, to time.Time) []events.Record {
-	return windowOf(s.byCategory.get(cat), from, to)
+func (s *Store) CategoryWindow(cat string, from, to time.Time) Span {
+	return s.Category(cat).Window(from, to)
 }
 
 // Job returns all records tagged with the job id.
-func (s *Store) Job(id int64) []events.Record {
-	return s.byJob.get(id)
+func (s *Store) Job(id int64) Span {
+	return Span{s.recs, s.byJob.get(id)}
 }
 
 // Nodes returns every node that has at least one record, unordered.
@@ -644,11 +691,12 @@ func LoadDirReportMined(dir string, sched topology.SchedulerType, mc logparse.Mi
 			rep.Skipped = append(rep.Skipped, FileWarning{File: name, Err: err.Error()})
 			continue
 		}
-		if strings.TrimSpace(string(data)) == "" {
+		text := string(data)
+		if strings.TrimSpace(text) == "" {
 			rep.Skipped = append(rep.Skipped, FileWarning{File: name, Err: "empty file"})
 			continue
 		}
-		lines := strings.Split(strings.TrimRight(string(data), "\n"), "\n")
+		lines := strings.Split(strings.TrimRight(text, "\n"), "\n")
 		got, srep := logparse.ParseLinesReportMined(stream, sched, lines, mc)
 		recs = append(recs, got...)
 		rep.Streams = append(rep.Streams, srep)

@@ -72,11 +72,11 @@ func TestNodeWindow(t *testing.T) {
 	s := testStore()
 	node := cname.MustParse("c0-0c0s1n2")
 	got := s.NodeWindow(node, t0, t0.Add(time.Hour))
-	if len(got) != 1 || got[0].Category != "mce" {
-		t.Fatalf("NodeWindow = %v", got)
+	if got.Len() != 1 || got.At(0).Category != "mce" {
+		t.Fatalf("NodeWindow = %v", got.Records())
 	}
 	// Blade-level record must NOT appear under a node query.
-	if len(s.NodeWindow(cname.MustParse("c0-0c0s1n1"), t0, t0.Add(time.Hour))) != 0 {
+	if s.NodeWindow(cname.MustParse("c0-0c0s1n1"), t0, t0.Add(time.Hour)).Len() != 0 {
 		t.Error("node query leaked other records")
 	}
 }
@@ -86,8 +86,8 @@ func TestBladeWindowIncludesNodesAndBlade(t *testing.T) {
 	blade := cname.MustParse("c0-0c0s1")
 	got := s.BladeWindow(blade, t0, t0.Add(time.Hour))
 	// Two node records on the blade + the blade-level BCHF.
-	if len(got) != 3 {
-		t.Fatalf("BladeWindow = %d records: %v", len(got), got)
+	if got.Len() != 3 {
+		t.Fatalf("BladeWindow = %d records: %v", got.Len(), got.Records())
 	}
 }
 
@@ -97,30 +97,30 @@ func TestCabinetWindow(t *testing.T) {
 	got := s.CabinetWindow(cab, t0, t0.Add(time.Hour))
 	// Everything in cabinet c0-0: 2 node records + blade record +
 	// cabinet record = 4.
-	if len(got) != 4 {
-		t.Fatalf("CabinetWindow = %d records", len(got))
+	if got.Len() != 4 {
+		t.Fatalf("CabinetWindow = %d records", got.Len())
 	}
 }
 
 func TestCategoryQueries(t *testing.T) {
 	s := testStore()
-	if got := s.Category("mce"); len(got) != 2 {
-		t.Fatalf("Category(mce) = %d", len(got))
+	if got := s.Category("mce"); got.Len() != 2 {
+		t.Fatalf("Category(mce) = %d", got.Len())
 	}
-	if got := s.CategoryWindow("mce", t0, t0.Add(4*time.Minute)); len(got) != 1 {
-		t.Fatalf("CategoryWindow = %d", len(got))
+	if got := s.CategoryWindow("mce", t0, t0.Add(4*time.Minute)); got.Len() != 1 {
+		t.Fatalf("CategoryWindow = %d", got.Len())
 	}
-	if len(s.Category("nope")) != 0 {
+	if s.Category("nope").Len() != 0 {
 		t.Error("unknown category should be empty")
 	}
 }
 
 func TestJobIndex(t *testing.T) {
 	s := testStore()
-	if got := s.Job(42); len(got) != 1 || got[0].Category != "job_start" {
-		t.Fatalf("Job(42) = %v", got)
+	if got := s.Job(42); got.Len() != 1 || got.At(0).Category != "job_start" {
+		t.Fatalf("Job(42) = %v", got.Records())
 	}
-	if len(s.Job(7)) != 0 {
+	if s.Job(7).Len() != 0 {
 		t.Error("unknown job should be empty")
 	}
 }
@@ -167,7 +167,7 @@ func TestWriteLoadDirRoundTrip(t *testing.T) {
 		t.Fatalf("loaded %d of %d records", store.Len(), len(scn.Records))
 	}
 	// Spot-check a category survives the disk round trip.
-	if len(store.Category("ec_node_heartbeat_fault")) == 0 && len(scn.NHFs) > 0 {
+	if store.Category("ec_node_heartbeat_fault").Len() == 0 && len(scn.NHFs) > 0 {
 		t.Error("NHF records lost on disk round trip")
 	}
 }
@@ -372,21 +372,21 @@ func TestWindowQueriesMatchLinearScan(t *testing.T) {
 		t.Errorf("Window = %d, linear = %d", got, want)
 	}
 	node := scn.Cluster.Node(7)
-	if got, want := len(s.NodeWindow(node, from, to)),
+	if got, want := s.NodeWindow(node, from, to).Len(),
 		linear(func(r *events.Record) bool { return r.Component == node }); got != want {
 		t.Errorf("NodeWindow = %d, linear = %d", got, want)
 	}
 	blade := node.BladeName()
-	if got, want := len(s.BladeWindow(blade, from, to)),
+	if got, want := s.BladeWindow(blade, from, to).Len(),
 		linear(func(r *events.Record) bool { return blade.Contains(r.Component) }); got != want {
 		t.Errorf("BladeWindow = %d, linear = %d", got, want)
 	}
 	cab := node.CabinetName()
-	if got, want := len(s.CabinetWindow(cab, from, to)),
+	if got, want := s.CabinetWindow(cab, from, to).Len(),
 		linear(func(r *events.Record) bool { return cab.Contains(r.Component) }); got != want {
 		t.Errorf("CabinetWindow = %d, linear = %d", got, want)
 	}
-	if got, want := len(s.CategoryWindow("mce", from, to)),
+	if got, want := s.CategoryWindow("mce", from, to).Len(),
 		linear(func(r *events.Record) bool { return r.Category == "mce" }); got != want {
 		t.Errorf("CategoryWindow = %d, linear = %d", got, want)
 	}

@@ -300,17 +300,17 @@ func (ss *ShardedStore) Len() int {
 
 // NodeWindow answers the node's containment window from its shard —
 // lock-free, no merged view needed.
-func (ss *ShardedStore) NodeWindow(node cname.Name, from, to time.Time) []events.Record {
+func (ss *ShardedStore) NodeWindow(node cname.Name, from, to time.Time) Span {
 	return ss.ShardForNode(node).NodeWindow(node, from, to)
 }
 
 // BladeWindow answers the blade window from the blade's cabinet shard.
-func (ss *ShardedStore) BladeWindow(blade cname.Name, from, to time.Time) []events.Record {
+func (ss *ShardedStore) BladeWindow(blade cname.Name, from, to time.Time) Span {
 	return ss.ShardForNode(blade).BladeWindow(blade, from, to)
 }
 
 // CabinetWindow answers the cabinet window from the cabinet's shard.
-func (ss *ShardedStore) CabinetWindow(cab cname.Name, from, to time.Time) []events.Record {
+func (ss *ShardedStore) CabinetWindow(cab cname.Name, from, to time.Time) Span {
 	return ss.ShardForNode(cab).CabinetWindow(cab, from, to)
 }
 

@@ -55,17 +55,17 @@ func TestShardedWindowsMatchMerged(t *testing.T) {
 	}
 	mid := first.Add(last.Sub(first) / 2)
 	for _, node := range seq.Nodes() {
-		got := ss.NodeWindow(node, first, mid)
-		want := seq.NodeWindow(node, first, mid)
+		got := ss.NodeWindow(node, first, mid).Records()
+		want := seq.NodeWindow(node, first, mid).Records()
 		if !reflect.DeepEqual(got, want) {
 			t.Fatalf("NodeWindow(%s) diverges: %d vs %d records", node, len(got), len(want))
 		}
 		blade := node.BladeName()
-		if !reflect.DeepEqual(ss.BladeWindow(blade, mid, last), seq.BladeWindow(blade, mid, last)) {
+		if !reflect.DeepEqual(ss.BladeWindow(blade, mid, last).Records(), seq.BladeWindow(blade, mid, last).Records()) {
 			t.Fatalf("BladeWindow(%s) diverges", blade)
 		}
 		cab := node.CabinetName()
-		if !reflect.DeepEqual(ss.CabinetWindow(cab, first, last), seq.CabinetWindow(cab, first, last)) {
+		if !reflect.DeepEqual(ss.CabinetWindow(cab, first, last).Records(), seq.CabinetWindow(cab, first, last).Records()) {
 			t.Fatalf("CabinetWindow(%s) diverges", cab)
 		}
 	}

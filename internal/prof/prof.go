@@ -35,20 +35,29 @@ func Start(cpuPath, memPath string) (stop func() error, err error) {
 				return fmt.Errorf("close cpu profile: %w", err)
 			}
 		}
-		if memPath != "" {
-			f, err := os.Create(memPath)
-			if err != nil {
-				return fmt.Errorf("create mem profile: %w", err)
-			}
-			runtime.GC()
-			if err := pprof.WriteHeapProfile(f); err != nil {
-				f.Close()
-				return fmt.Errorf("write mem profile: %w", err)
-			}
-			if err := f.Close(); err != nil {
-				return fmt.Errorf("close mem profile: %w", err)
-			}
-		}
-		return nil
+		return WriteHeap(memPath)
 	}, nil
+}
+
+// WriteHeap snapshots the heap into path (when non-empty) after a forced
+// GC, so the profile's inuse_space is what the caller can still reach:
+// call it while the structures worth asking about are live, not after
+// the function that built them has returned.
+func WriteHeap(path string) error {
+	if path == "" {
+		return nil
+	}
+	f, err := os.Create(path)
+	if err != nil {
+		return fmt.Errorf("create mem profile: %w", err)
+	}
+	runtime.GC()
+	if err := pprof.WriteHeapProfile(f); err != nil {
+		f.Close()
+		return fmt.Errorf("write mem profile: %w", err)
+	}
+	if err := f.Close(); err != nil {
+		return fmt.Errorf("close mem profile: %w", err)
+	}
+	return nil
 }
