@@ -12,8 +12,6 @@ package hpcfail
 // generation, log rendering/parsing, store indexing and diagnosis.
 
 import (
-	"context"
-	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -28,7 +26,6 @@ import (
 	"hpcfail/internal/logparse"
 	"hpcfail/internal/logstore"
 	"hpcfail/internal/topology"
-	"hpcfail/internal/wal"
 )
 
 // benchCfg keeps artifact benchmarks fast while exercising the whole
@@ -231,21 +228,6 @@ func BenchmarkDiagnoseWeek(b *testing.B) {
 	}
 }
 
-// BenchmarkDiagnoseWeekParallel measures the worker-pool variant on the
-// same input (compare with BenchmarkDiagnoseWeek for the scaling).
-func BenchmarkDiagnoseWeekParallel(b *testing.B) {
-	scn := benchScenario(b)
-	store := logstore.New(scn.Records)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		res := core.RunParallel(store, core.DefaultConfig(), 0)
-		if len(res.Detections) == 0 {
-			b.Fatal("no detections")
-		}
-	}
-}
-
 // BenchmarkWindowQuery measures the store's blade-window join, the
 // pipeline's innermost operation.
 func BenchmarkWindowQuery(b *testing.B) {
@@ -263,13 +245,7 @@ func BenchmarkWindowQuery(b *testing.B) {
 
 func BenchmarkAblationPredictor(b *testing.B) { benchExperiment(b, "ablation-predictor") }
 
-// Sharded streaming-ingestion benchmarks. The regression gate compares
-// BenchmarkLoadDir (sequential, whole-corpus slurp) against
-// BenchmarkStreamLoadDir (chunked parallel parse into a ShardedStore):
-// at GOMAXPROCS >= 8 the streamed loader is expected to run >= 2x
-// faster with no increase in allocations per parsed line (divide
-// allocs/op by lines/op, or diff the two with benchstat — see README).
-// BENCH_pr2.json records a reference -benchtime=1x run.
+// Directory-ingestion benchmark.
 
 // benchCorpusDir renders a cluster-week to disk once and counts its
 // log lines for the per-line metrics.
@@ -313,107 +289,6 @@ func BenchmarkLoadDir(b *testing.B) {
 	b.ReportMetric(float64(lines), "lines/op")
 }
 
-// BenchmarkStreamLoadDir measures the sharded streaming loader on the
-// same corpus (bounded worker pool, per-shard indexing, background
-// merge). The timed region includes waiting for the merged view so the
-// comparison against BenchmarkLoadDir is end-to-end fair.
-func BenchmarkStreamLoadDir(b *testing.B) {
-	dir, lines := benchCorpusDir(b)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		ss, _, err := logstore.StreamLoadDir(dir, topology.SchedulerSlurm, logstore.StreamOptions{})
-		if err != nil {
-			b.Fatal(err)
-		}
-		if ss.Merged().Len() == 0 {
-			b.Fatal("empty store")
-		}
-	}
-	b.ReportMetric(float64(lines), "lines/op")
-}
-
-// Crash-safety benchmarks. BenchmarkStreamLoadDirWAL prices the
-// checkpoint journal against BenchmarkStreamLoadDir: the journal
-// serialises every parsed record (that is what makes a resumed load
-// byte-identical without re-reading damaged inputs), so expect roughly
-// corpus-proportional overhead — the durability/speed trade-off is the
-// chunk size and Options.Sync, not a constant tax.
-// BenchmarkResumeLoadDir prices picking a half-finished load back up:
-// journal replay for the completed half plus live parsing for the rest.
-// BENCH_pr3.json records a reference -benchtime=1x run of both.
-
-// BenchmarkStreamLoadDirWAL measures the streaming loader with a
-// checkpoint journal attached (fresh WAL per iteration).
-func BenchmarkStreamLoadDirWAL(b *testing.B) {
-	dir, lines := benchCorpusDir(b)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		b.StopTimer()
-		wdir := filepath.Join(b.TempDir(), fmt.Sprintf("wal-%d", i))
-		b.StartTimer()
-		j, err := wal.Open(wdir, wal.Options{})
-		if err != nil {
-			b.Fatal(err)
-		}
-		ss, _, err := logstore.StreamLoadDir(dir, topology.SchedulerSlurm,
-			logstore.StreamOptions{Journal: j})
-		if err != nil {
-			b.Fatal(err)
-		}
-		if ss.Merged().Len() == 0 {
-			b.Fatal("empty store")
-		}
-		if err := j.Close(); err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.ReportMetric(float64(lines), "lines/op")
-}
-
-// BenchmarkResumeLoadDir measures resuming a load that was killed about
-// halfway (the kill and journal setup are outside the timed region).
-func BenchmarkResumeLoadDir(b *testing.B) {
-	dir, lines := benchCorpusDir(b)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		b.StopTimer()
-		wdir := filepath.Join(b.TempDir(), fmt.Sprintf("wal-%d", i))
-		j, err := wal.Open(wdir, wal.Options{})
-		if err != nil {
-			b.Fatal(err)
-		}
-		kctx, cancel := context.WithCancel(context.Background())
-		chunks := 0
-		_, _, err = logstore.StreamLoadDirContext(kctx, dir, topology.SchedulerSlurm,
-			logstore.StreamOptions{Journal: j, ChunkLines: 512,
-				OnChunk: func(string, int) {
-					if chunks++; chunks == 12 {
-						cancel()
-					}
-				}})
-		cancel()
-		if !errors.Is(err, logstore.ErrInterrupted) {
-			b.Fatalf("setup kill: want ErrInterrupted, got %v", err)
-		}
-		b.StartTimer()
-		ss, _, err := logstore.ResumeLoadDir(context.Background(), dir, topology.SchedulerSlurm,
-			logstore.StreamOptions{Journal: j})
-		if err != nil {
-			b.Fatal(err)
-		}
-		if ss.Merged().Len() == 0 {
-			b.Fatal("empty store")
-		}
-		if err := j.Close(); err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.ReportMetric(float64(lines), "lines/op")
-}
-
 // BenchmarkIncrementalApply prices one small delta (16 records) applied
 // to an incremental engine already holding a full cluster-week,
 // including the Snapshot that makes the result servable — the
@@ -440,36 +315,6 @@ func BenchmarkIncrementalApply(b *testing.B) {
 		}
 		eng.ApplyBatch(tail[off:end])
 		if res := eng.Snapshot(0); len(res.Detections) == 0 {
-			b.Fatal("no detections")
-		}
-	}
-}
-
-// BenchmarkShardedStoreBuild measures sharding + per-shard indexing +
-// k-way merge of an in-memory cluster-week (counterpart of
-// BenchmarkStoreBuild).
-func BenchmarkShardedStoreBuild(b *testing.B) {
-	scn := benchScenario(b)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		ss := logstore.NewShardedFromRecords(scn.Records, 0)
-		if ss.Merged().Len() == 0 {
-			b.Fatal("empty store")
-		}
-	}
-}
-
-// BenchmarkRunSharded measures the shard-consuming pipeline over a
-// sealed sharded store (compare with BenchmarkDiagnoseWeekParallel).
-func BenchmarkRunSharded(b *testing.B) {
-	scn := benchScenario(b)
-	ss := logstore.NewShardedFromRecords(scn.Records, 0)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		res := core.RunSharded(ss, core.DefaultConfig(), 0)
-		if len(res.Detections) == 0 {
 			b.Fatal("no detections")
 		}
 	}

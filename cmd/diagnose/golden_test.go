@@ -5,13 +5,9 @@ package main
 // change with:
 //
 //	go test ./cmd/diagnose -update
-//
-// Every case runs twice — sequential loader and -stream — and the
-// streaming output must match the sequential golden byte for byte.
 
 import (
 	"bytes"
-	"context"
 	"flag"
 	"io"
 	"os"
@@ -65,32 +61,20 @@ func TestGoldenDiagnose(t *testing.T) {
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
-			render := func(o options) []byte {
-				var buf bytes.Buffer
-				var err error
-				if c.json {
-					err = runJSON(context.Background(), o, &buf, io.Discard)
-				} else {
-					err = run(context.Background(), o, &buf, io.Discard)
-				}
-				if err != nil {
-					t.Fatal(err)
-				}
-				return buf.Bytes()
+			var buf bytes.Buffer
+			var err error
+			if c.json {
+				err = runJSON(c.o, &buf, io.Discard)
+			} else {
+				err = run(c.o, &buf, io.Discard)
 			}
-			seq := render(c.o)
-			if c.wantNote != "" && !bytes.Contains(seq, []byte(c.wantNote)) {
+			if err != nil {
+				t.Fatal(err)
+			}
+			if c.wantNote != "" && !bytes.Contains(buf.Bytes(), []byte(c.wantNote)) {
 				t.Errorf("output lacks expected note %q", c.wantNote)
 			}
-			checkGolden(t, c.name, seq)
-
-			streamed := c.o
-			streamed.stream = true
-			streamed.workers = 3
-			streamed.shards = 4
-			if got := render(streamed); !bytes.Equal(got, seq) {
-				t.Errorf("-stream output diverges from sequential (%d vs %d bytes)", len(got), len(seq))
-			}
+			checkGolden(t, c.name, buf.Bytes())
 		})
 	}
 }

@@ -5,14 +5,6 @@
 //
 // It prints every detected node failure with its inferred root cause,
 // job attribution and lead times, followed by summary breakdowns.
-// -stream switches ingestion to the sharded streaming loader (bounded
-// memory, parallel parse); output is identical either way.
-//
-// With -wal the streaming load checkpoints its progress into a
-// write-ahead-logged journal, and SIGINT/SIGTERM stop it cleanly at a
-// chunk boundary (partial ingest ledger on stderr, non-zero exit).
-// A later invocation with -resume picks up from the last checkpoint and
-// produces output identical to an uninterrupted run.
 //
 // -mine appends a template-mining section: the lines the static
 // profiles rejected (quarantined or unclassified), clustered online
@@ -20,18 +12,15 @@
 // report above the section stays byte-identical to a run without it.
 // -mined-profile loads a profile previously exported by cmd/minectl or
 // GET /v1/templates?format=profile and reclaims the quarantined lines
-// it covers as classified records (sequential loader only).
+// it covers as classified records.
 package main
 
 import (
-	"context"
 	"flag"
 	"fmt"
 	"io"
 	"os"
-	"os/signal"
 	"runtime"
-	"syscall"
 
 	"hpcfail"
 	"hpcfail/internal/prof"
@@ -45,11 +34,6 @@ type options struct {
 	logs    string
 	sched   string
 	full    bool
-	stream  bool
-	workers int
-	shards  int
-	wal     string
-	resume  bool
 	mine    bool
 	profile string
 	// memprofile is where run/runJSON write a heap profile just before
@@ -68,13 +52,8 @@ func main() {
 	flag.StringVar(&o.sched, "scheduler", "slurm", "scheduler dialect: slurm or torque")
 	flag.BoolVar(&o.full, "full", false, "print per-failure evidence")
 	flag.BoolVar(&jsonMode, "json", false, "emit one JSON object per diagnosis instead of tables")
-	flag.BoolVar(&o.stream, "stream", false, "use the sharded streaming loader (same output, bounded memory)")
-	flag.IntVar(&o.workers, "workers", 0, "streaming parse/diagnosis workers (0 = GOMAXPROCS)")
-	flag.IntVar(&o.shards, "shards", 0, "store shard count (0 = default)")
-	flag.StringVar(&o.wal, "wal", "", "checkpoint-journal directory (implies -stream; makes the load resumable)")
-	flag.BoolVar(&o.resume, "resume", false, "resume an interrupted load from the -wal journal")
 	flag.BoolVar(&o.mine, "mine", false, "append a mined-template report over quarantined/unclassified lines")
-	flag.StringVar(&o.profile, "mined-profile", "", "mined profile JSON; reclaims quarantined lines it classifies (sequential loader only)")
+	flag.StringVar(&o.profile, "mined-profile", "", "mined profile JSON; reclaims quarantined lines it classifies")
 	flag.StringVar(&cpuprofile, "cpuprofile", "", "write a CPU profile to this file")
 	flag.StringVar(&o.memprofile, "memprofile", "", "write a heap profile of the loaded store and result to this file")
 	flag.BoolVar(&showVer, "version", false, "print build version and exit")
@@ -90,13 +69,10 @@ func main() {
 		os.Exit(1)
 	}
 
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stop()
-
 	if jsonMode {
-		err = runJSON(ctx, o, os.Stdout, os.Stderr)
+		err = runJSON(o, os.Stdout, os.Stderr)
 	} else {
-		err = run(ctx, o, os.Stdout, os.Stderr)
+		err = run(o, os.Stdout, os.Stderr)
 	}
 	if perr := stopProf(); perr != nil && err == nil {
 		err = perr
@@ -107,44 +83,8 @@ func main() {
 	}
 }
 
-// load ingests the corpus via the loader the options select and runs
-// the matching pipeline. The streaming path produces identical results
-// to the sequential one — equivalence the test suite enforces. On an
-// interrupted journaled load the partial ingest ledger is returned
-// alongside the error so the caller can report progress.
-func load(ctx context.Context, o options, st topology.SchedulerType) (*hpcfail.Store, *hpcfail.IngestReport, *hpcfail.Result, error) {
-	if o.resume && o.wal == "" {
-		return nil, nil, nil, fmt.Errorf("-resume requires -wal (the journal to resume from)")
-	}
-	if o.profile != "" && (o.stream || o.wal != "") {
-		return nil, nil, nil, fmt.Errorf("-mined-profile requires the sequential loader (drop -stream/-wal)")
-	}
-	if o.stream || o.wal != "" {
-		sopts := hpcfail.StreamOptions{Workers: o.workers, Shards: o.shards}
-		if o.wal != "" {
-			j, err := hpcfail.OpenWAL(o.wal, hpcfail.WALOptions{})
-			if err != nil {
-				return nil, nil, nil, fmt.Errorf("open -wal journal: %w", err)
-			}
-			defer j.Close()
-			sopts.Journal = j
-		}
-		var (
-			ss  *hpcfail.ShardedStore
-			rep *hpcfail.IngestReport
-			err error
-		)
-		if o.resume {
-			ss, rep, err = hpcfail.ResumeLogs(ctx, o.logs, st, sopts)
-		} else {
-			ss, rep, err = hpcfail.LoadLogsStreamContext(ctx, o.logs, st, sopts)
-		}
-		if err != nil {
-			return nil, rep, nil, err
-		}
-		res := hpcfail.DiagnoseShardedReport(ss, rep, o.workers)
-		return res.Store, rep, res, nil
-	}
+// load ingests the corpus and runs the pipeline over it.
+func load(o options, st topology.SchedulerType) (*hpcfail.Store, *hpcfail.IngestReport, *hpcfail.Result, error) {
 	var mc hpcfail.MinedClassifier
 	if o.profile != "" {
 		data, err := os.ReadFile(o.profile)
@@ -180,23 +120,14 @@ func mineCorpus(store *hpcfail.Store, rep *hpcfail.IngestReport) *hpcfail.Templa
 	return m
 }
 
-// resumeHint is the guidance printed after an interrupted load.
-func resumeHint(o options) string {
-	if o.wal != "" {
-		return "progress checkpointed; rerun with -resume to continue from the journal"
-	}
-	return "no -wal journal was set; a rerun starts from scratch"
-}
-
 // runJSON emits machine-readable diagnoses, one JSON object per line.
-func runJSON(ctx context.Context, o options, stdout, stderr io.Writer) error {
+func runJSON(o options, stdout, stderr io.Writer) error {
 	st := topology.SchedulerSlurm
 	if o.sched == "torque" {
 		st = topology.SchedulerTorque
 	}
-	_, rep, res, err := load(ctx, o, st)
+	_, rep, res, err := load(o, st)
 	if err != nil {
-		render.Interrupted(stderr, err, rep, resumeHint(o))
 		return err
 	}
 	render.Warnings(stderr, rep.Warnings(), 0)
@@ -215,7 +146,7 @@ func heapProfile(path string, live ...any) error {
 	return err
 }
 
-func run(ctx context.Context, o options, stdout, stderr io.Writer) error {
+func run(o options, stdout, stderr io.Writer) error {
 	var st topology.SchedulerType
 	switch o.sched {
 	case "slurm":
@@ -225,9 +156,8 @@ func run(ctx context.Context, o options, stdout, stderr io.Writer) error {
 	default:
 		return fmt.Errorf("unknown scheduler %q (want slurm or torque)", o.sched)
 	}
-	store, rep, res, err := load(ctx, o, st)
+	store, rep, res, err := load(o, st)
 	if err != nil {
-		render.Interrupted(stderr, err, rep, resumeHint(o))
 		return err
 	}
 	render.Warnings(stderr, rep.Warnings(), 5)

@@ -42,11 +42,11 @@
 // notify) acting on an in-process simulated cluster, with idempotency
 // pre-checks, safety guards and an append-only ticket ledger.
 //
-// -logs bootstraps the corpus from a directory (sequential or -stream
-// sharded/WAL-journaled loading, exactly like cmd/diagnose); the
-// bootstrap is applied to the incremental diagnosis engine and fully
-// diagnosed before serving starts, so startup pays the whole pipeline
-// once and the first query is already memoized. Each ingest queues a
+// -logs bootstraps the corpus from a directory (loaded exactly like
+// cmd/diagnose does); the bootstrap is applied to the incremental
+// diagnosis engine and fully diagnosed before serving starts, so
+// startup pays the whole pipeline once and the first query is already
+// memoized. Each ingest queues a
 // delta that the first query at the new watermark folds in at cost
 // proportional to the batch — post-ingest latency does not re-pay the
 // corpus (staleness and apply duration are visible on /healthz and
@@ -83,15 +83,10 @@ type options struct {
 	addr         string
 	logs         string
 	sched        string
-	stream       bool
-	workers      int
-	shards       int
-	wal          string
 	resume       bool
 	checkpoint   string
 	cacheEntries int
 	maxInflight  int
-	queryTimeout time.Duration
 	drainTimeout time.Duration
 	remedy       bool
 	mine         bool
@@ -113,15 +108,10 @@ func main() {
 	flag.StringVar(&o.addr, "addr", ":8080", "listen address")
 	flag.StringVar(&o.logs, "logs", "", "bootstrap log directory (empty = start with an empty corpus)")
 	flag.StringVar(&o.sched, "scheduler", "slurm", "scheduler dialect: slurm or torque")
-	flag.BoolVar(&o.stream, "stream", false, "bootstrap through the sharded streaming loader")
-	flag.IntVar(&o.workers, "workers", 0, "streaming parse workers (0 = GOMAXPROCS)")
-	flag.IntVar(&o.shards, "shards", 0, "store shard count (0 = default)")
-	flag.StringVar(&o.wal, "wal", "", "bootstrap checkpoint-journal directory (implies -stream)")
-	flag.BoolVar(&o.resume, "resume", false, "resume: replay the -wal journal and restore the -checkpoint watcher state")
+	flag.BoolVar(&o.resume, "resume", false, "resume: restore the -checkpoint watcher state")
 	flag.StringVar(&o.checkpoint, "checkpoint", "", "watcher snapshot file, written on shutdown")
 	flag.IntVar(&o.cacheEntries, "cache", 256, "rendered-response cache entries")
 	flag.IntVar(&o.maxInflight, "max-inflight", 64, "concurrently served requests before shedding with 429")
-	flag.DurationVar(&o.queryTimeout, "query-timeout", 30*time.Second, "per-diagnosis compute budget")
 	flag.DurationVar(&o.drainTimeout, "drain-timeout", 15*time.Second, "shutdown grace for in-flight requests")
 	flag.BoolVar(&o.remedy, "remedy", false, "enable the closed-loop remediation engine (/v1/remediations)")
 	flag.BoolVar(&o.mine, "mine", false, "mine templates from quarantined/unclassified lines (/v1/templates, candidate SSE events)")
@@ -164,36 +154,6 @@ func primaryAlive(c *http.Client, url string) bool {
 	return true
 }
 
-// bootstrap loads the -logs corpus the same way cmd/diagnose would.
-func bootstrap(ctx context.Context, o options, st topology.SchedulerType) (*hpcfail.Store, *hpcfail.IngestReport, error) {
-	if o.stream || o.wal != "" {
-		sopts := hpcfail.StreamOptions{Workers: o.workers, Shards: o.shards}
-		if o.wal != "" {
-			j, err := hpcfail.OpenWAL(o.wal, hpcfail.WALOptions{})
-			if err != nil {
-				return nil, nil, fmt.Errorf("open -wal journal: %w", err)
-			}
-			defer j.Close()
-			sopts.Journal = j
-		}
-		var (
-			ss  *hpcfail.ShardedStore
-			rep *hpcfail.IngestReport
-			err error
-		)
-		if o.resume && o.wal != "" {
-			ss, rep, err = hpcfail.ResumeLogs(ctx, o.logs, st, sopts)
-		} else {
-			ss, rep, err = hpcfail.LoadLogsStreamContext(ctx, o.logs, st, sopts)
-		}
-		if err != nil {
-			return nil, rep, err
-		}
-		return ss.Merged(), rep, nil
-	}
-	return hpcfail.LoadLogsReport(o.logs, st)
-}
-
 func run(ctx context.Context, o options, stdout, stderr io.Writer) error {
 	var st topology.SchedulerType
 	switch o.sched {
@@ -212,7 +172,6 @@ func run(ctx context.Context, o options, stdout, stderr io.Writer) error {
 	srv := hpcfail.NewServer(hpcfail.ServeConfig{
 		Scheduler:        st,
 		MaxInflight:      o.maxInflight,
-		QueryTimeout:     o.queryTimeout,
 		CacheEntries:     o.cacheEntries,
 		CheckpointPath:   o.checkpoint,
 		EnableRemedy:     o.remedy,
@@ -227,9 +186,8 @@ func run(ctx context.Context, o options, stdout, stderr io.Writer) error {
 	})
 
 	if o.logs != "" {
-		store, rep, err := bootstrap(ctx, o, st)
+		store, rep, err := hpcfail.LoadLogsReport(o.logs, st)
 		if err != nil {
-			render.Interrupted(stderr, err, rep, "bootstrap checkpointed; restart with -resume to continue")
 			return err
 		}
 		render.Warnings(stderr, rep.Warnings(), 5)

@@ -4,10 +4,6 @@ package main
 // corpora in ../../testdata. Regenerate with:
 //
 //	go test ./cmd/watch -update
-//
-// Each case also replays through the -stream loader; since the merged
-// sharded store is byte-identical to the sequential one, the replay
-// transcript must match exactly.
 
 import (
 	"bytes"
@@ -63,26 +59,14 @@ func TestGoldenWatch(t *testing.T) {
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
-			render := func(o options) []byte {
-				var buf bytes.Buffer
-				if err := run(context.Background(), o, &buf, io.Discard); err != nil {
-					t.Fatal(err)
-				}
-				return buf.Bytes()
+			var buf bytes.Buffer
+			if err := run(context.Background(), c.o, &buf, io.Discard); err != nil {
+				t.Fatal(err)
 			}
-			seq := render(c.o)
-			if c.wantNote != "" && !bytes.Contains(seq, []byte(c.wantNote)) {
+			if c.wantNote != "" && !bytes.Contains(buf.Bytes(), []byte(c.wantNote)) {
 				t.Errorf("output lacks expected note %q", c.wantNote)
 			}
-			checkGolden(t, c.name, seq)
-
-			streamed := c.o
-			streamed.stream = true
-			streamed.workers = 3
-			streamed.shards = 4
-			if got := render(streamed); !bytes.Equal(got, seq) {
-				t.Errorf("-stream replay diverges from sequential (%d vs %d bytes)", len(got), len(seq))
-			}
+			checkGolden(t, c.name, buf.Bytes())
 		})
 	}
 }

@@ -11,14 +11,11 @@
 // replay reports what was lost. -chaos injects record-level faults into
 // the replay itself (shuffled delivery, drops, clock skew …) and
 // -reorder sizes the watcher's re-sequencing buffer that absorbs them.
-// -stream ingests through the sharded streaming loader; the replayed
-// record sequence is identical either way.
 //
-// The replay is crash-safe end to end: -wal journals the streaming
-// ingestion so an interrupted load resumes at the last chunk boundary,
-// and -checkpoint persists the watcher's detection state every -every
-// interval and on SIGINT/SIGTERM. A later run with -resume restores
-// both and continues with no duplicate and no missed detections.
+// The replay is crash-safe: -checkpoint persists the watcher's
+// detection state every -every interval and on SIGINT/SIGTERM. A later
+// run with -resume restores it and continues with no duplicate and no
+// missed detections.
 package main
 
 import (
@@ -46,10 +43,6 @@ type options struct {
 	alarms     bool
 	reorder    time.Duration
 	chaos      string
-	stream     bool
-	workers    int
-	shards     int
-	wal        string
 	checkpoint string
 	every      time.Duration
 	resume     bool
@@ -63,13 +56,9 @@ func main() {
 	flag.BoolVar(&o.alarms, "alarms", true, "emit early-warning alarms")
 	flag.DurationVar(&o.reorder, "reorder", 0, "reorder-buffer window (0 = feed in arrival order)")
 	flag.StringVar(&o.chaos, "chaos", "", `inject record-level faults into the replay, e.g. "mode=shuffle,intensity=0.2"`)
-	flag.BoolVar(&o.stream, "stream", false, "use the sharded streaming loader (same replay, bounded memory)")
-	flag.IntVar(&o.workers, "workers", 0, "streaming parse workers (0 = GOMAXPROCS)")
-	flag.IntVar(&o.shards, "shards", 0, "store shard count (0 = default)")
-	flag.StringVar(&o.wal, "wal", "", "ingestion checkpoint-journal directory (implies -stream)")
 	flag.StringVar(&o.checkpoint, "checkpoint", "", "watcher snapshot file, written every -every and on shutdown")
 	flag.DurationVar(&o.every, "every", time.Minute, "checkpoint interval for -checkpoint")
-	flag.BoolVar(&o.resume, "resume", false, "resume: replay the -wal journal and restore the -checkpoint snapshot")
+	flag.BoolVar(&o.resume, "resume", false, "resume: restore the -checkpoint snapshot and skip the records it already replayed")
 	flag.BoolVar(&o.mine, "mine", false, "mine templates from quarantined/unclassified lines; print CANDIDATE promotions and a summary")
 	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile to this file")
 	memprofile := flag.String("memprofile", "", "write a heap profile to this file on exit")
@@ -100,38 +89,6 @@ func main() {
 	}
 }
 
-// ingest loads the corpus per the options. On an interrupted journaled
-// load the partial report comes back with the error.
-func ingest(ctx context.Context, o options, st topology.SchedulerType) (*hpcfail.Store, *hpcfail.IngestReport, error) {
-	if o.stream || o.wal != "" {
-		sopts := hpcfail.StreamOptions{Workers: o.workers, Shards: o.shards}
-		if o.wal != "" {
-			j, err := hpcfail.OpenWAL(o.wal, hpcfail.WALOptions{})
-			if err != nil {
-				return nil, nil, fmt.Errorf("open -wal journal: %w", err)
-			}
-			defer j.Close()
-			sopts.Journal = j
-		}
-		var (
-			ss  *hpcfail.ShardedStore
-			rep *hpcfail.IngestReport
-			err error
-		)
-		if o.resume && o.wal != "" {
-			ss, rep, err = hpcfail.ResumeLogs(ctx, o.logs, st, sopts)
-		} else {
-			ss, rep, err = hpcfail.LoadLogsStreamContext(ctx, o.logs, st, sopts)
-		}
-		if err != nil {
-			return nil, rep, err
-		}
-		return ss.Merged(), rep, nil
-	}
-	store, rep, err := hpcfail.LoadLogsReport(o.logs, st)
-	return store, rep, err
-}
-
 // saveSnapshot and loadSnapshot are the shared atomic checkpoint
 // persistence in core, used by both this command and the HTTP server.
 func saveSnapshot(path string, w *core.Watcher) error { return core.SaveSnapshotFile(path, w) }
@@ -145,12 +102,11 @@ func run(ctx context.Context, o options, stdout, stderr io.Writer) error {
 	if o.sched == "torque" {
 		st = topology.SchedulerTorque
 	}
-	if o.resume && o.wal == "" && o.checkpoint == "" {
-		return fmt.Errorf("-resume requires -wal and/or -checkpoint (the state to resume from)")
+	if o.resume && o.checkpoint == "" {
+		return fmt.Errorf("-resume requires -checkpoint (the watcher state to resume from)")
 	}
-	store, rep, err := ingest(ctx, o, st)
+	store, rep, err := hpcfail.LoadLogsReport(o.logs, st)
 	if err != nil {
-		render.Interrupted(stderr, err, rep, "ingestion checkpointed; rerun with -resume to continue")
 		return err
 	}
 	render.Warnings(stderr, rep.Warnings(), 0)
@@ -214,7 +170,7 @@ func run(ctx context.Context, o options, stdout, stderr io.Writer) error {
 	// previous run got, so the replay re-enters exactly where it left
 	// off — no duplicate and no missed detections.
 	start := 0
-	if o.resume && o.checkpoint != "" {
+	if o.resume {
 		restored, err := loadSnapshot(o.checkpoint, w)
 		if err != nil {
 			return err
@@ -239,12 +195,14 @@ func run(ctx context.Context, o options, stdout, stderr io.Writer) error {
 	}
 	for i := start; i < len(recs); i++ {
 		if ctx.Err() != nil {
-			if o.checkpoint != "" {
+			if o.checkpoint == "" {
+				fmt.Fprintf(stderr, "interrupted after %d/%d records; no -checkpoint was set, a rerun starts from scratch\n", i, len(recs))
+			} else {
 				if err := saveSnapshot(o.checkpoint, w); err != nil {
 					return fmt.Errorf("write shutdown checkpoint: %w", err)
 				}
+				fmt.Fprintf(stderr, "interrupted after %d/%d records; rerun with -resume -checkpoint %s to continue\n", i, len(recs), o.checkpoint)
 			}
-			fmt.Fprintf(stderr, "interrupted after %d/%d records; rerun with -resume to continue\n", i, len(recs))
 			return fmt.Errorf("replay stopped at record %d/%d: %w", i, len(recs), hpcfail.ErrInterrupted)
 		}
 		if tick != nil {

@@ -12,7 +12,6 @@ import (
 	"time"
 
 	"hpcfail"
-	"hpcfail/internal/topology"
 )
 
 func writeTestLogs(t *testing.T) string {
@@ -52,12 +51,6 @@ func TestRunWatch(t *testing.T) {
 	o.alarms = false
 	if err := run(ctx, o, io.Discard, io.Discard); err != nil {
 		t.Fatalf("run without alarms: %v", err)
-	}
-	o = watchOpts(dir)
-	o.stream = true
-	o.workers = 2
-	if err := run(ctx, o, io.Discard, io.Discard); err != nil {
-		t.Fatalf("run -stream: %v", err)
 	}
 	if err := run(ctx, watchOpts(t.TempDir()), io.Discard, io.Discard); err == nil {
 		t.Error("empty directory should error")
@@ -186,67 +179,27 @@ func TestRunWatchCheckpointResume(t *testing.T) {
 	}
 }
 
-// TestRunWatchWALResume: kill a journaled ingestion mid-load (library
-// chunk hook as the SIGTERM stand-in), then resume through the command;
-// the replay output must match an uninterrupted run.
-func TestRunWatchWALResume(t *testing.T) {
-	dir := writeTestLogs(t)
-	var want bytes.Buffer
-	o := watchOpts(dir)
-	o.stream = true
-	o.workers = 2
-	if err := run(context.Background(), o, &want, io.Discard); err != nil {
-		t.Fatalf("reference run: %v", err)
-	}
-
-	walDir := filepath.Join(t.TempDir(), "wal")
-	j, err := hpcfail.OpenWAL(walDir, hpcfail.WALOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	kctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	chunks := 0
-	_, _, err = hpcfail.LoadLogsStreamContext(kctx, dir, topology.SchedulerSlurm, hpcfail.StreamOptions{
-		Workers: 2, ChunkLines: 100, Journal: j,
-		OnChunk: func(string, int) {
-			if chunks++; chunks == 5 {
-				cancel()
-			}
-		},
-	})
-	if !errors.Is(err, hpcfail.ErrInterrupted) {
-		t.Fatalf("kill run: want ErrInterrupted, got %v", err)
-	}
-	if err := j.Close(); err != nil {
-		t.Fatal(err)
-	}
-
-	o.wal = walDir
-	o.resume = true
-	var got bytes.Buffer
-	if err := run(context.Background(), o, &got, io.Discard); err != nil {
-		t.Fatalf("resume run: %v", err)
-	}
-	if got.String() != want.String() {
-		t.Errorf("resumed replay diverges from uninterrupted run (%d vs %d bytes)", got.Len(), want.Len())
-	}
-}
-
-// TestRunWatchIngestInterruptMessaging: a signal during ingestion
-// surfaces the partial ledger and the resume hint.
+// TestRunWatchIngestInterruptMessaging: a signal that lands while the
+// corpus loads stops the replay before its first record, saves the
+// watcher checkpoint and names -checkpoint in the resume hint.
 func TestRunWatchIngestInterruptMessaging(t *testing.T) {
 	dir := writeTestLogs(t)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	o := watchOpts(dir)
-	o.wal = filepath.Join(t.TempDir(), "wal")
+	o.checkpoint = filepath.Join(t.TempDir(), "watch.ckpt")
 	var errOut bytes.Buffer
 	err := run(ctx, o, io.Discard, &errOut)
 	if !errors.Is(err, hpcfail.ErrInterrupted) {
 		t.Fatalf("want ErrInterrupted, got %v", err)
 	}
-	if !strings.Contains(errOut.String(), "rerun with -resume") {
+	if !strings.Contains(errOut.String(), "rerun with -resume -checkpoint "+o.checkpoint) {
 		t.Errorf("stderr lacks resume hint:\n%s", errOut.String())
+	}
+	if strings.Contains(errOut.String(), "journal") {
+		t.Errorf("resume hint names a journal:\n%s", errOut.String())
+	}
+	if _, err := os.Stat(o.checkpoint); err != nil {
+		t.Fatalf("no shutdown checkpoint written: %v", err)
 	}
 }

@@ -1,26 +1,21 @@
 package hpcfail
 
-// Sequential-equivalence property suite for the sharded streaming
-// ingestion path: over seeded corpora, chaos damage modes and
-// GOMAXPROCS settings, LoadLogsStream + DiagnoseSharded must produce
-// byte-identical results to LoadLogsReport + Diagnose — same store
-// contents, same ingest ledgers, same detections, same diagnoses, same
-// degradation verdicts. Run with -race; the acceptance gate is
-//
-//	go test -run TestShardedEquivalence -race ./...
+// Shared fixtures for the differential suites (incremental_test.go,
+// fuzz_incremental_test.go): a seeded failure-bearing corpus, its
+// on-disk variants (chaos-damaged, streams removed) and full
+// pipeline-output equality. The crash-resume property of the online
+// replay (watch -checkpoint) lives here too.
 
 import (
-	"context"
-	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
 	"reflect"
 	"runtime"
-	"strings"
 	"testing"
 	"time"
 
+	"hpcfail/internal/core"
 	"hpcfail/internal/events"
 	"hpcfail/internal/loggen"
 	"hpcfail/internal/topology"
@@ -76,48 +71,6 @@ func (c equivCorpus) write(t testing.TB, scn *Scenario) string {
 	return dir
 }
 
-// sameIngestReports asserts ledger equality, rendering errors to
-// strings (error values don't DeepEqual across construction sites).
-func sameIngestReports(t *testing.T, got, want *IngestReport) {
-	t.Helper()
-	if !reflect.DeepEqual(got.Skipped, want.Skipped) {
-		t.Fatalf("Skipped diverges: %v vs %v", got.Skipped, want.Skipped)
-	}
-	if !reflect.DeepEqual(got.Missing, want.Missing) {
-		t.Fatalf("Missing diverges: %v vs %v", got.Missing, want.Missing)
-	}
-	if got.TotalParsed() != want.TotalParsed() ||
-		got.TotalQuarantined() != want.TotalQuarantined() ||
-		got.TotalReordered() != want.TotalReordered() {
-		t.Fatalf("ingest totals diverge: %s vs %s", got, want)
-	}
-	if !reflect.DeepEqual(got.Poisoned, want.Poisoned) {
-		t.Fatalf("Poisoned diverges:\n got %v\nwant %v", got.Poisoned, want.Poisoned)
-	}
-	if !reflect.DeepEqual(got.Tripped, want.Tripped) {
-		t.Fatalf("Tripped diverges:\n got %v\nwant %v", got.Tripped, want.Tripped)
-	}
-	if len(got.Streams) != len(want.Streams) {
-		t.Fatalf("stream ledger count %d vs %d", len(got.Streams), len(want.Streams))
-	}
-	for i := range got.Streams {
-		g, w := got.Streams[i], want.Streams[i]
-		if g.Stream != w.Stream || g.Lines != w.Lines || g.Parsed != w.Parsed ||
-			g.Quarantined != w.Quarantined || g.Reordered != w.Reordered ||
-			!reflect.DeepEqual(g.Samples, w.Samples) {
-			t.Fatalf("stream %v ledger diverges:\n got %+v\nwant %+v", g.Stream, g, w)
-		}
-		if len(g.Errs) != len(w.Errs) {
-			t.Fatalf("stream %v err count %d vs %d", g.Stream, len(g.Errs), len(w.Errs))
-		}
-		for j := range g.Errs {
-			if g.Errs[j].Error() != w.Errs[j].Error() {
-				t.Fatalf("stream %v err %d: %v vs %v", g.Stream, j, g.Errs[j], w.Errs[j])
-			}
-		}
-	}
-}
-
 // sameResults asserts full pipeline-output equality.
 func sameResults(t *testing.T, got, want *Result) {
 	t.Helper()
@@ -143,269 +96,140 @@ func sameResults(t *testing.T, got, want *Result) {
 	}
 }
 
-func TestShardedEquivalence(t *testing.T) {
-	corpora := []equivCorpus{
-		{name: "clean"},
-		{name: "chaos-mixed", chaos: ChaosConfig{
-			Drop: 0.05, Garble: 0.05, Truncate: 0.05, Duplicate: 0.05, Seed: 17}},
-		{name: "chaos-garble", chaos: ChaosConfig{Garble: 0.15, Seed: 99}},
-		{name: "degraded-no-scheduler", removeStreams: []events.Stream{events.StreamScheduler}},
-	}
-	streamOpts := []StreamOptions{
-		{},
-		{Workers: 3, Shards: 5, ChunkLines: 777, Queue: 2},
-	}
-	for _, seed := range []uint64{5, 23} {
-		scn := equivScenario(t, seed)
-		for _, c := range corpora {
-			dir := c.write(t, scn)
-			wantStore, wantRep, err := LoadLogsReport(dir, topology.SchedulerSlurm)
-			if err != nil {
-				t.Fatal(err)
-			}
-			wantRes := Diagnose(wantStore)
-			if c.name == "clean" && len(wantRes.Detections) == 0 {
-				t.Fatalf("seed %d: clean corpus yields no detections — property vacuous", seed)
-			}
-			for _, gmp := range []int{1, 2, 8} {
-				t.Run(fmt.Sprintf("seed%d/%s/gomaxprocs%d", seed, c.name, gmp), func(t *testing.T) {
-					old := runtime.GOMAXPROCS(gmp)
-					defer runtime.GOMAXPROCS(old)
-					for _, opts := range streamOpts {
-						ss, rep, err := LoadLogsStream(dir, topology.SchedulerSlurm, opts)
-						if err != nil {
-							t.Fatal(err)
-						}
-						sameIngestReports(t, rep, wantRep)
-						sameResults(t, DiagnoseSharded(ss, 0), wantRes)
-					}
-				})
-			}
+// replayOutput is what a replay prints: confirmed failures and
+// early-warning alarms, in emission order. At holds, for each emission
+// in order, the position of the record whose feed triggered it.
+type replayOutput struct {
+	Detections []Detection
+	Alarms     []core.Alarm
+	At         []int
+}
+
+// replay feeds recs through a watcher the way cmd/watch does, killing
+// the process after the first n records for each n in crashAt: the
+// dying watcher writes its checkpoint, and a fresh one restores it and
+// re-enters at the record count the checkpoint says it had fed. It
+// returns everything emitted across all incarnations; with no crashes
+// it is the uninterrupted replay.
+func replay(t *testing.T, recs []events.Record, crashAt ...int) replayOutput {
+	t.Helper()
+	path := filepath.Join(t.TempDir(), "watch.ckpt")
+	var out replayOutput
+	cur := 0
+	start := func() *Watcher {
+		w := NewWatcher(func(d Detection) {
+			out.Detections = append(out.Detections, d)
+			out.At = append(out.At, cur)
+		})
+		w.OnAlarm = func(a core.Alarm) {
+			out.Alarms = append(out.Alarms, a)
+			out.At = append(out.At, cur)
 		}
+		return w
+	}
+	feed := func(w *Watcher, stop int) {
+		for cur = w.Stats().Fed; cur < stop; cur++ {
+			w.Feed(recs[cur])
+		}
+	}
+	w := start()
+	for _, n := range crashAt {
+		feed(w, n)
+		if err := SaveWatcherCheckpoint(path, w); err != nil {
+			t.Fatal(err)
+		}
+		w = start()
+		ok, err := LoadWatcherCheckpoint(path, w)
+		if err != nil || !ok {
+			t.Fatalf("crash@%d: restore = %v, %v", n, ok, err)
+		}
+		if got := w.Stats().Fed; got != n {
+			t.Fatalf("crash@%d: restored watcher has fed %d records, want %d", n, got, n)
+		}
+	}
+	feed(w, len(recs))
+	w.Flush()
+	return out
+}
+
+// crashBefore is the crash point just ahead of the record that
+// triggered the kill-th emission of the uninterrupted replay want: the
+// emission then depends on state that only the checkpoint carries
+// across the crash.
+func crashBefore(t *testing.T, want replayOutput, kill int) int {
+	t.Helper()
+	if kill >= len(want.At) {
+		t.Fatalf("kill@%d: the replay emits only %d times — matrix vacuous", kill, len(want.At))
+	}
+	return want.At[kill]
+}
+
+// sameReplay asserts a resumed replay printed what the uninterrupted
+// one did, and that the reference is not vacuous.
+func sameReplay(t *testing.T, got, want replayOutput) {
+	t.Helper()
+	if len(want.Detections) == 0 || len(want.Alarms) == 0 {
+		t.Fatalf("reference replay emits %d detections, %d alarms — property vacuous",
+			len(want.Detections), len(want.Alarms))
+	}
+	if !reflect.DeepEqual(got.Detections, want.Detections) {
+		t.Fatalf("detections diverge across checkpoint/resume: %d vs %d", len(got.Detections), len(want.Detections))
+	}
+	if !reflect.DeepEqual(got.Alarms, want.Alarms) {
+		t.Fatalf("alarms diverge across checkpoint/resume: %d vs %d", len(got.Alarms), len(want.Alarms))
 	}
 }
 
-// TestCrashResumeEquivalence is the crash-safety property: a streaming
-// load killed at an arbitrary point of collector progress and resumed
-// from its WAL journal must be record-for-record identical to an
-// uninterrupted load — same store contents, same ingest ledger
-// (including supervisor poison/breaker verdicts), same diagnoses, same
-// online-watcher detections. The matrix crosses kill points × process
-// chaos modes (none/panic/stall/iofault, all with deterministic
-// stateless verdicts) × GOMAXPROCS; run under -race.
+// TestCrashResumeEquivalence is the crash-safety property of the online
+// replay: a watcher killed just before the record behind its kill-th
+// emission and resumed from its checkpoint emits exactly the detections and alarms
+// of an uninterrupted replay — none repeated, none missed — over a
+// store that loads and diagnoses identically at any GOMAXPROCS. The
+// matrix crosses kill points × GOMAXPROCS; run under -race. "none"
+// names the fault-free arm (no process faults are injected).
 func TestCrashResumeEquivalence(t *testing.T) {
 	scn := equivScenario(t, 23)
 	dir := equivCorpus{name: "chaos-mixed",
 		chaos: ChaosConfig{Garble: 0.06, Truncate: 0.04, Seed: 17}}.write(t, scn)
-
-	variants := []struct {
-		name string
-		cfg  ChaosConfig // process-fault injection config; zero = none
-	}{
-		{name: "none"},
-		{name: "panic", cfg: ChaosConfig{Seed: 31, Panic: 0.25, Sticky: 1}},
-		{name: "stall", cfg: ChaosConfig{Seed: 31, Stall: 0.25, Sticky: 1}},
-		{name: "iofault", cfg: ChaosConfig{Seed: 31, IOFault: 0.5, Sticky: 0.5}},
+	wantStore, wantRep, err := LoadLogsReport(dir, topology.SchedulerSlurm)
+	if err != nil {
+		t.Fatal(err)
 	}
-	base := StreamOptions{Workers: 3, Shards: 4, ChunkLines: 100,
-		BreakerThreshold: 3, CheckpointEvery: 4, BackoffBase: -1}
+	wantRes := Diagnose(wantStore)
+	want := replay(t, wantStore.All())
 
-	for _, v := range variants {
-		v := v
-		t.Run(v.name, func(t *testing.T) {
-			opts := base
-			if v.cfg != (ChaosConfig{}) {
-				opts.Chaos = NewChaosInjector(v.cfg)
+	t.Run("none", func(t *testing.T) {
+		for _, gmp := range []int{1, 2, 8} {
+			for _, kill := range []int{0, 5, 13} {
+				t.Run(fmt.Sprintf("gomaxprocs%d/kill%d", gmp, kill), func(t *testing.T) {
+					old := runtime.GOMAXPROCS(gmp)
+					defer runtime.GOMAXPROCS(old)
+
+					store, rep, err := LoadLogsReport(dir, topology.SchedulerSlurm)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if !reflect.DeepEqual(rep, wantRep) {
+						t.Fatalf("ingest ledger diverges: %s vs %s", rep, wantRep)
+					}
+					sameResults(t, Diagnose(store), wantRes)
+					got := replay(t, store.All(), crashBefore(t, want, kill))
+					sameReplay(t, got, want)
+				})
 			}
-			wantSS, wantRep, err := LoadLogsStream(dir, topology.SchedulerSlurm, opts)
-			if err != nil {
-				t.Fatal(err)
-			}
-			wantRes := DiagnoseShardedReport(wantSS, wantRep, 0)
-			var wantDets []Detection
-			NewWatcher(func(d Detection) { wantDets = append(wantDets, d) }).FeedAll(wantSS.All())
-
-			if v.name == "panic" || v.name == "stall" {
-				// The supervised degradation contract: faults never fail
-				// the load, they lower confidence and ledger the damage.
-				if len(wantRep.Poisoned) == 0 {
-					t.Fatalf("%s at 0.25 sticky poisoned nothing — matrix vacuous", v.name)
-				}
-				if wantRes.Degradation.LostChunks == 0 || !wantRes.Degradation.Degraded() {
-					t.Fatal("lost chunks not reflected in degradation")
-				}
-			}
-
-			for _, gmp := range []int{1, 2, 8} {
-				for _, kill := range []int{0, 5, 13} {
-					t.Run(fmt.Sprintf("gomaxprocs%d/kill%d", gmp, kill), func(t *testing.T) {
-						old := runtime.GOMAXPROCS(gmp)
-						defer runtime.GOMAXPROCS(old)
-
-						journal, err := OpenWAL(filepath.Join(t.TempDir(), "wal"), WALOptions{})
-						if err != nil {
-							t.Fatal(err)
-						}
-						defer journal.Close()
-						opts := base
-						opts.Journal = journal
-						if v.cfg != (ChaosConfig{}) {
-							opts.Chaos = NewChaosInjector(v.cfg)
-						}
-						ctx, cancel := context.WithCancel(context.Background())
-						seen := 0
-						opts.OnChunk = func(string, int) {
-							if seen == kill {
-								cancel()
-							}
-							seen++
-						}
-						_, partial, err := LoadLogsStreamContext(ctx, dir, topology.SchedulerSlurm, opts)
-						cancel()
-						if !errors.Is(err, ErrInterrupted) {
-							t.Fatalf("kill@%d: err = %v, want ErrInterrupted", kill, err)
-						}
-						if partial == nil {
-							t.Fatal("interrupted load returned no partial report")
-						}
-						opts.OnChunk = nil
-						ss, rep, err := ResumeLogs(context.Background(), dir, topology.SchedulerSlurm, opts)
-						if err != nil {
-							t.Fatalf("resume: %v", err)
-						}
-						if !reflect.DeepEqual(ss.All(), wantSS.All()) {
-							t.Fatalf("resumed store diverges (%d vs %d records)", ss.Len(), wantSS.Len())
-						}
-						sameIngestReports(t, rep, wantRep)
-						sameResults(t, DiagnoseShardedReport(ss, rep, 0), wantRes)
-
-						// Online-watcher leg: a watcher checkpointed and
-						// restored mid-sequence over the resumed store's
-						// records emits exactly the reference detections.
-						recs := ss.All()
-						cut := len(recs) / 3
-						var dets []Detection
-						w1 := NewWatcher(func(d Detection) { dets = append(dets, d) })
-						w1.FeedAll(recs[:cut])
-						w2 := NewWatcher(func(d Detection) { dets = append(dets, d) })
-						w2.Restore(w1.Snapshot())
-						w2.FeedAll(recs[cut:])
-						if !reflect.DeepEqual(dets, wantDets) {
-							t.Fatalf("watcher detections diverge across snapshot/restore: %d vs %d",
-								len(dets), len(wantDets))
-						}
-					})
-				}
-			}
-		})
-	}
+		}
+	})
 }
 
-// TestCrashResumeDoubleKill exercises a crash of the recovery itself at
-// the top-level API: kill, resume, kill the resume, resume again.
+// TestCrashResumeDoubleKill exercises a crash of the recovery itself:
+// kill, resume, kill the resumed replay, resume again.
 func TestCrashResumeDoubleKill(t *testing.T) {
 	scn := equivScenario(t, 23)
-	dir := equivCorpus{name: "clean"}.write(t, scn)
-	base := StreamOptions{Workers: 2, Shards: 3, ChunkLines: 100, CheckpointEvery: 2}
-	wantSS, wantRep, err := LoadLogsStream(dir, topology.SchedulerSlurm, base)
+	store, _, err := LoadLogsReport(equivCorpus{name: "clean"}.write(t, scn), topology.SchedulerSlurm)
 	if err != nil {
 		t.Fatal(err)
 	}
-	journal, err := OpenWAL(filepath.Join(t.TempDir(), "wal"), WALOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer journal.Close()
-	opts := base
-	opts.Journal = journal
-	kill := func(n int, resume bool) {
-		t.Helper()
-		ctx, cancel := context.WithCancel(context.Background())
-		defer cancel()
-		seen := 0
-		opts.OnChunk = func(string, int) {
-			if seen == n {
-				cancel()
-			}
-			seen++
-		}
-		var err error
-		if resume {
-			_, _, err = ResumeLogs(ctx, dir, topology.SchedulerSlurm, opts)
-		} else {
-			_, _, err = LoadLogsStreamContext(ctx, dir, topology.SchedulerSlurm, opts)
-		}
-		if !errors.Is(err, ErrInterrupted) {
-			t.Fatalf("kill@%d: err = %v, want ErrInterrupted", n, err)
-		}
-	}
-	kill(3, false)
-	kill(4, true)
-	opts.OnChunk = nil
-	ss, rep, err := ResumeLogs(context.Background(), dir, topology.SchedulerSlurm, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(ss.All(), wantSS.All()) {
-		t.Fatalf("double-kill resume diverges (%d vs %d records)", ss.Len(), wantSS.Len())
-	}
-	sameIngestReports(t, rep, wantRep)
-}
-
-// TestSupervisedDegradationLowersConfidence pins the acceptance
-// contract: a corpus whose load limped home with poisoned chunks
-// diagnoses with strictly lower confidence and says why.
-func TestSupervisedDegradationLowersConfidence(t *testing.T) {
-	scn := equivScenario(t, 5)
-	dir := equivCorpus{name: "clean"}.write(t, scn)
-	clean, cleanRep, err := LoadLogsStream(dir, topology.SchedulerSlurm, StreamOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	cleanRes := DiagnoseShardedReport(clean, cleanRep, 0)
-	if len(cleanRes.Diagnoses) == 0 {
-		t.Fatal("clean corpus yields no diagnoses — test vacuous")
-	}
-
-	opts := StreamOptions{ChunkLines: 100, BackoffBase: -1,
-		Chaos: NewChaosInjector(ChaosConfig{Seed: 77, Panic: 0.15, Sticky: 1})}
-	ss, rep, err := LoadLogsStream(dir, topology.SchedulerSlurm, opts)
-	if err != nil {
-		t.Fatalf("panicking workers must never fail the load: %v", err)
-	}
-	if len(rep.Poisoned) == 0 {
-		t.Fatal("no poisoned chunks at Panic=0.15 sticky — test vacuous")
-	}
-	res := DiagnoseShardedReport(ss, rep, 0)
-	if got, want := res.Degradation.LostChunks, rep.LostChunks(); got != want {
-		t.Fatalf("Degradation.LostChunks = %d, want %d", got, want)
-	}
-	for i, d := range res.Diagnoses {
-		if !d.Degraded {
-			t.Fatalf("diagnosis %d not marked degraded", i)
-		}
-		if !strings.Contains(d.Note, "chunks lost during ingestion") {
-			t.Fatalf("diagnosis %d note %q omits chunk loss", i, d.Note)
-		}
-	}
-	// Confidence strictly lower than the same diagnosis made cleanly
-	// (detection sets can differ when a poisoned chunk held a terminal
-	// event, so compare only as far as both runs detect the same node).
-	for i := 0; i < len(res.Diagnoses) && i < len(cleanRes.Diagnoses); i++ {
-		g, w := res.Diagnoses[i], cleanRes.Diagnoses[i]
-		if g.Detection == w.Detection && g.Confidence >= w.Confidence {
-			t.Fatalf("diagnosis %d confidence %v not lowered (clean %v)", i, g.Confidence, w.Confidence)
-		}
-	}
-}
-
-// TestShardedEquivalenceInMemory covers the in-memory construction
-// path: ShardRecords + DiagnoseSharded vs StoreRecords + Diagnose.
-func TestShardedEquivalenceInMemory(t *testing.T) {
-	scn := equivScenario(t, 42)
-	want := Diagnose(StoreRecords(scn.Records))
-	for _, shards := range []int{1, 4, 16} {
-		got := DiagnoseSharded(ShardRecords(scn.Records, shards), 0)
-		sameResults(t, got, want)
-	}
+	want := replay(t, store.All())
+	got := replay(t, store.All(), crashBefore(t, want, 3), crashBefore(t, want, 4))
+	sameReplay(t, got, want)
 }

@@ -6,7 +6,7 @@ package hpcfail
 // records parse out of the fuzz bytes themselves when read as raw log
 // lines on every stream, and (b) a schedule: arrival-order
 // perturbation and batch cut points. Any Result divergence from a
-// from-scratch RunContextReport after any batch — or any panic — is a
+// from-scratch RunContext after any batch — or any panic — is a
 // failure. The seed corpus is raw chunks of the chaos corpus files, so
 // the fuzzer starts from realistic damaged lines.
 
@@ -114,7 +114,7 @@ func FuzzApplyBatch(f *testing.F) {
 			eng.ApplyBatch(b)
 			arrived = append(arrived, b...)
 			got := eng.Snapshot(0)
-			want, err := core.RunContextReport(context.Background(), StoreRecords(arrived), cfg, 0)
+			want, err := core.RunContext(context.Background(), StoreRecords(arrived), cfg)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -41,7 +41,6 @@ import (
 	"hpcfail/internal/remedy"
 	"hpcfail/internal/server"
 	"hpcfail/internal/topology"
-	"hpcfail/internal/wal"
 )
 
 // Re-exported core types. The aliases are the stable public names; the
@@ -133,71 +132,9 @@ func LoadLogsReport(dir string, sched topology.SchedulerType) (*Store, *IngestRe
 	return logstore.LoadDirReport(dir, sched)
 }
 
-// Sharded streaming-ingestion surface.
-type (
-	// ShardedStore is the node-hash-sharded store the streaming loader
-	// fills; reads are lock-free after sealing and its merged view is
-	// byte-identical to the sequential store.
-	ShardedStore = logstore.ShardedStore
-	// StreamOptions tunes the streaming loader's worker pool,
-	// backpressure bounds, shard count, chunk size and the crash-safety
-	// knobs: checkpoint journal, retry/breaker supervision, stall
-	// watchdog.
-	StreamOptions = logstore.StreamOptions
-	// WAL is the append-only, checksummed, segment-rotated write-ahead
-	// log backing checkpoint journals.
-	WAL = wal.Log
-	// WALOptions tunes a WAL (segment size, fsync policy).
-	WALOptions = wal.Options
-	// PoisonChunk is one chunk the ingestion supervisor quarantined
-	// after exhausting its retry budget.
-	PoisonChunk = logstore.PoisonChunk
-	// BreakerTrip is one stream whose circuit breaker opened after too
-	// many poisoned chunks.
-	BreakerTrip = logstore.BreakerTrip
-)
-
-// ErrInterrupted wraps the error returned when a context-cancelled
-// streaming load stops at a chunk boundary; the partial IngestReport is
-// still returned, and a journaled load resumes with ResumeLogs.
+// ErrInterrupted is wrapped by the error a context-cancelled replay
+// returns (cmd/watch); a -checkpoint snapshot resumes it.
 var ErrInterrupted = logstore.ErrInterrupted
-
-// OpenWAL opens (or creates) a write-ahead log directory, truncating
-// any torn tail from a crashed writer. Pass it as StreamOptions.Journal
-// to make a streaming load resumable.
-func OpenWAL(dir string, opts WALOptions) (*WAL, error) { return wal.Open(dir, opts) }
-
-// LoadLogsStream is the sharded, memory-bounded counterpart of
-// LoadLogsReport: files are read one at a time, parsed in chunks by a
-// bounded worker pool and routed into a ShardedStore. Store contents
-// and IngestReport are identical to LoadLogsReport over the same
-// directory.
-func LoadLogsStream(dir string, sched topology.SchedulerType, opts StreamOptions) (*ShardedStore, *IngestReport, error) {
-	return logstore.StreamLoadDir(dir, sched, opts)
-}
-
-// LoadLogsStreamContext is LoadLogsStream under a context: cancellation
-// stops the load at the next chunk boundary with ErrInterrupted and the
-// partial report. With StreamOptions.Journal set the progress is
-// checkpointed for ResumeLogs.
-func LoadLogsStreamContext(ctx context.Context, dir string, sched topology.SchedulerType, opts StreamOptions) (*ShardedStore, *IngestReport, error) {
-	return logstore.StreamLoadDirContext(ctx, dir, sched, opts)
-}
-
-// ResumeLogs continues a journaled streaming load that was interrupted
-// or killed: completed work replays from the journal, the stream in
-// flight re-enters the pipeline at the first unjournaled chunk, and the
-// result is record-for-record identical to an uninterrupted load.
-func ResumeLogs(ctx context.Context, dir string, sched topology.SchedulerType, opts StreamOptions) (*ShardedStore, *IngestReport, error) {
-	return logstore.ResumeLoadDir(ctx, dir, sched, opts)
-}
-
-// ShardRecords builds a sealed sharded store over in-memory records —
-// the sharded counterpart of StoreRecords (shards <= 0 selects the
-// default shard count).
-func ShardRecords(recs []Record, shards int) *ShardedStore {
-	return logstore.NewShardedFromRecords(recs, shards)
-}
 
 // Chaos-harness surface: deterministic log fault injection for
 // robustness testing. See internal/chaos for the fault model.
@@ -242,34 +179,6 @@ func DiagnoseWith(store *Store, cfg PipelineConfig) *Result { return core.Run(st
 // (Fig 13).
 func SummarizeLeadTimes(diags []Diagnosis) LeadTimeSummary {
 	return core.SummarizeLeadTimes(diags)
-}
-
-// DiagnoseParallel runs the pipeline with per-failure diagnosis fanned
-// out over a worker pool (workers <= 0 selects GOMAXPROCS). Output is
-// identical to Diagnose.
-func DiagnoseParallel(store *Store, workers int) *Result {
-	return core.RunParallel(store, core.DefaultConfig(), workers)
-}
-
-// DiagnoseSharded runs the pipeline over a sharded store: detection
-// per shard, diagnosis from shard-local windows, and the merged store
-// built concurrently in the background. Output is identical to
-// Diagnose over the equivalent sequential store.
-func DiagnoseSharded(ss *ShardedStore, workers int) *Result {
-	return core.RunSharded(ss, core.DefaultConfig(), workers)
-}
-
-// DiagnoseShardedWith is DiagnoseSharded with custom windows.
-func DiagnoseShardedWith(ss *ShardedStore, cfg PipelineConfig, workers int) *Result {
-	return core.RunSharded(ss, cfg, workers)
-}
-
-// DiagnoseShardedReport is DiagnoseSharded with the ingestion report's
-// supervisor verdicts folded into the degradation assessment: chunks
-// poisoned or dropped during loading lower every diagnosis's confidence
-// and appear in its evidence note. rep may be nil.
-func DiagnoseShardedReport(ss *ShardedStore, rep *IngestReport, workers int) *Result {
-	return core.RunShardedReport(ss, rep, core.DefaultConfig(), workers)
 }
 
 // Recommendation is one Table VI-style operator action derived from
@@ -335,7 +244,7 @@ func LoadWatcherCheckpoint(path string, w *Watcher) (bool, error) {
 // Online-serving surface: the HTTP diagnosis service behind cmd/serve.
 type (
 	// ServeConfig tunes the online diagnosis service (admission bounds,
-	// query timeout, cache size, checkpoint path).
+	// cache size, checkpoint path, replication).
 	ServeConfig = server.Config
 	// DiagnosisServer is a long-running HTTP service owning a live
 	// corpus and watcher: batched ingest, cached/coalesced diagnosis

@@ -57,12 +57,6 @@ func TestPublicAPIEndToEnd(t *testing.T) {
 		t.Error("lead-time summary total mismatch")
 	}
 
-	// Parallel diagnosis matches the serial result.
-	par := DiagnoseParallel(StoreRecords(scn.Records), 4)
-	if len(par.Diagnoses) != len(res.Diagnoses) {
-		t.Errorf("parallel diagnoses %d != serial %d", len(par.Diagnoses), len(res.Diagnoses))
-	}
-
 	// Recommendations derive from the result.
 	if recs := Recommend(res); len(recs) == 0 {
 		t.Error("no recommendations from a failure-bearing result")

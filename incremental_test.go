@@ -98,7 +98,6 @@ func TestIncrementalEquivalence(t *testing.T) {
 				t.Fatal(err)
 			}
 			all := store.All()
-			lost := rep.LostChunks()
 			for gi, gmp := range []int{1, 2, 8} {
 				t.Run(fmt.Sprintf("seed%d/%s/gomaxprocs%d", seed, c.name, gmp), func(t *testing.T) {
 					old := runtime.GOMAXPROCS(gmp)
@@ -121,9 +120,9 @@ func TestIncrementalEquivalence(t *testing.T) {
 					for bi, b := range batches {
 						eng.ApplyBatch(b)
 						arrived = append(arrived, b...)
-						got := eng.Snapshot(lost)
-						want, err := core.RunContextReport(context.Background(),
-							StoreRecords(arrived), DefaultPipelineConfig(), lost)
+						got := eng.Snapshot(0)
+						want, err := core.RunContext(context.Background(),
+							StoreRecords(arrived), DefaultPipelineConfig())
 						if err != nil {
 							t.Fatal(err)
 						}
@@ -172,7 +171,7 @@ func TestIncrementalEquivalence(t *testing.T) {
 						if bi >= seedBatches {
 							seeded.ApplyBatch(batches[bi])
 						}
-						got := seeded.Snapshot(lost)
+						got := seeded.Snapshot(0)
 						sameResults(t, got, wms[bi].res)
 						gt, gj := renderPair(t, dir, rep, got)
 						if !bytes.Equal(gt, wms[bi].txt) || !bytes.Equal(gj, wms[bi].js) {
@@ -212,7 +211,7 @@ func TestIncrementalSingleRecordBatches(t *testing.T) {
 	all := store.All()
 	// A slice around the first detection keeps the leg fast but
 	// failure-bearing.
-	full, err := core.RunContextReport(context.Background(), StoreRecords(all), DefaultPipelineConfig(), 0)
+	full, err := core.RunContext(context.Background(), StoreRecords(all), DefaultPipelineConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -240,8 +239,8 @@ func TestIncrementalSingleRecordBatches(t *testing.T) {
 			continue
 		}
 		got := eng.Snapshot(0)
-		want, err := core.RunContextReport(context.Background(),
-			StoreRecords(slice[:i+1]), DefaultPipelineConfig(), 0)
+		want, err := core.RunContext(context.Background(),
+			StoreRecords(slice[:i+1]), DefaultPipelineConfig())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -309,7 +308,7 @@ func TestIncrementalSeedLeavesStoreIntact(t *testing.T) {
 		a.ApplyBatch(rest[lo:hi])
 		b.ApplyBatch(rest[len(rest)-hi : len(rest)-lo])
 	}
-	want, err := core.RunContextReport(context.Background(), StoreRecords(all), DefaultPipelineConfig(), 0)
+	want, err := core.RunContext(context.Background(), StoreRecords(all), DefaultPipelineConfig())
 	if err != nil {
 		t.Fatal(err)
 	}

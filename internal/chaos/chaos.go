@@ -27,7 +27,6 @@ import (
 	"sort"
 	"strconv"
 	"strings"
-	"sync"
 	"time"
 
 	"hpcfail/internal/events"
@@ -57,12 +56,10 @@ const (
 	ModeInterleave Mode = "interleave"
 )
 
-// AllModes lists every corruption mode in sweep order. The data
-// operators come first, then the process-fault modes (faults.go).
+// AllModes lists every corruption mode in sweep order.
 func AllModes() []Mode {
 	return []Mode{ModeDrop, ModeTruncate, ModeGarble, ModeDuplicate,
-		ModeShuffle, ModeStreamLoss, ModeClockSkew, ModeInterleave,
-		ModeIOFault, ModeStall, ModePanic}
+		ModeShuffle, ModeStreamLoss, ModeClockSkew, ModeInterleave}
 }
 
 // Config holds per-operator intensities. Each probability field is the
@@ -97,21 +94,6 @@ type Config struct {
 	// two halves with the following line, as two unsynchronised writers
 	// sharing a descriptor would.
 	Interleave float64
-	// IOFault makes whole-file reads fail (per-stream chance) with an
-	// injected error from the reader seam.
-	IOFault float64
-	// Stall makes a chunk-parse attempt hang until the supervisor's
-	// watchdog (per-chunk chance).
-	Stall float64
-	// Panic makes a chunk-parse attempt panic (per-chunk chance).
-	Panic float64
-	// Sticky is the chance a firing fault site is sticky — failing
-	// every retry instead of only the first attempt. Zero takes the
-	// default 0.25; negative means never sticky.
-	Sticky float64
-	// StallTime makes injected stalls really sleep this long (so a real
-	// watchdog fires); zero keeps them virtual and deterministic.
-	StallTime time.Duration
 }
 
 // ForMode builds a single-operator Config at the given intensity — the
@@ -135,12 +117,6 @@ func ForMode(m Mode, intensity float64, seed uint64) Config {
 		cfg.ClockSkew = intensity
 	case ModeInterleave:
 		cfg.Interleave = intensity
-	case ModeIOFault:
-		cfg.IOFault = intensity
-	case ModeStall:
-		cfg.Stall = intensity
-	case ModePanic:
-		cfg.Panic = intensity
 	}
 	return cfg
 }
@@ -161,12 +137,6 @@ type Report struct {
 	// StreamsLost counts whole streams removed by StreamLoss; their
 	// lines are included in Dropped.
 	StreamsLost int
-	// IOFaults, Stalls and Panics count injected process faults (the
-	// seams in faults.go) — attempts failed, not lines damaged, so they
-	// are excluded from Corruptions.
-	IOFaults int
-	Stalls   int
-	Panics   int
 }
 
 // Add accumulates another report into r.
@@ -181,9 +151,6 @@ func (r *Report) Add(o Report) {
 	r.Skewed += o.Skewed
 	r.Interleaved += o.Interleaved
 	r.StreamsLost += o.StreamsLost
-	r.IOFaults += o.IOFaults
-	r.Stalls += o.Stalls
-	r.Panics += o.Panics
 }
 
 // Corruptions is the total count of corruption events applied.
@@ -192,33 +159,19 @@ func (r *Report) Corruptions() int {
 		r.Shuffled + r.Skewed + r.Interleaved
 }
 
-// Faults is the total count of injected process faults.
-func (r *Report) Faults() int { return r.IOFaults + r.Stalls + r.Panics }
-
-// String renders a compact one-line summary. Process-fault counts are
-// appended only when any fired, so data-only reports render as before.
+// String renders a compact one-line summary.
 func (r *Report) String() string {
-	s := fmt.Sprintf("chaos: %d/%d lines emitted (dropped %d, truncated %d, garbled %d, duplicated %d, shuffled %d, skewed %d, interleaved %d, streams lost %d)",
+	return fmt.Sprintf("chaos: %d/%d lines emitted (dropped %d, truncated %d, garbled %d, duplicated %d, shuffled %d, skewed %d, interleaved %d, streams lost %d)",
 		r.Emitted, r.Lines, r.Dropped, r.Truncated, r.Garbled, r.Duplicated,
 		r.Shuffled, r.Skewed, r.Interleaved, r.StreamsLost)
-	if r.Faults() > 0 {
-		s += fmt.Sprintf(" + %d process faults (iofaults %d, stalls %d, panics %d)",
-			r.Faults(), r.IOFaults, r.Stalls, r.Panics)
-	}
-	return s
 }
 
 // Injector applies a Config to streams and accumulates the Report.
-// The data operators (CorruptLines, CorruptRecords, CorruptAll) are not
-// safe for concurrent use; the process-fault seams (ReadFault,
-// ChunkFault) are, so concurrent workers may consult them — but not
-// while a data operator is running.
+// It is not safe for concurrent use.
 type Injector struct {
 	cfg Config
-	// mu guards Report mutation from the concurrent fault seams.
-	mu sync.Mutex
 	// Report accumulates ground truth across CorruptLines /
-	// CorruptRecords calls and fault-seam firings.
+	// CorruptRecords calls.
 	Report Report
 }
 
@@ -473,8 +426,8 @@ func maxInt(a, b int) int {
 
 // ParseSpec parses a -chaos flag value. Two shapes are accepted:
 //
-//	mode=<drop|truncate|garble|duplicate|shuffle|streamloss|clockskew|interleave|iofault|stall|panic>,intensity=0.2[,seed=7]
-//	drop=0.1,truncate=0.05,garble=0.02,duplicate=0.01,shuffle=0.1,window=8,streamloss=0,clockskew=0.05,maxskew=2m,interleave=0.02,iofault=0.1,stall=0.02,panic=0.02,sticky=0.25,stalltime=0s,seed=7
+//	mode=<drop|truncate|garble|duplicate|shuffle|streamloss|clockskew|interleave>,intensity=0.2[,seed=7]
+//	drop=0.1,truncate=0.05,garble=0.02,duplicate=0.01,shuffle=0.1,window=8,streamloss=0,clockskew=0.05,maxskew=2m,interleave=0.02,seed=7
 //
 // An empty spec returns the zero Config (inject nothing).
 func ParseSpec(spec string) (Config, error) {
@@ -528,19 +481,6 @@ func ParseSpec(spec string) (Config, error) {
 			cfg.MaxSkew, err = time.ParseDuration(val)
 		case "interleave":
 			cfg.Interleave, err = parseProb(val)
-		case "iofault":
-			cfg.IOFault, err = parseProb(val)
-		case "stall":
-			cfg.Stall, err = parseProb(val)
-		case "panic":
-			cfg.Panic, err = parseProb(val)
-		case "sticky":
-			cfg.Sticky, err = parseProb(val)
-			if err == nil && cfg.Sticky == 0 {
-				cfg.Sticky = -1 // explicit 0 means never sticky
-			}
-		case "stalltime":
-			cfg.StallTime, err = time.ParseDuration(val)
 		default:
 			err = fmt.Errorf("unknown key %q", key)
 		}
@@ -555,8 +495,6 @@ func ParseSpec(spec string) (Config, error) {
 		modeCfg := ForMode(mode, intensity, cfg.Seed)
 		modeCfg.ShuffleWindow = cfg.ShuffleWindow
 		modeCfg.MaxSkew = cfg.MaxSkew
-		modeCfg.Sticky = cfg.Sticky
-		modeCfg.StallTime = cfg.StallTime
 		return modeCfg, nil
 	}
 	if intensity >= 0 {
@@ -588,6 +526,5 @@ func parseProb(s string) (float64, error) {
 // Enabled reports whether the config injects anything at all.
 func (c Config) Enabled() bool {
 	return c.Drop > 0 || c.Truncate > 0 || c.Garble > 0 || c.Duplicate > 0 ||
-		c.Shuffle > 0 || c.StreamLoss > 0 || c.ClockSkew > 0 || c.Interleave > 0 ||
-		c.IOFault > 0 || c.Stall > 0 || c.Panic > 0
+		c.Shuffle > 0 || c.StreamLoss > 0 || c.ClockSkew > 0 || c.Interleave > 0
 }

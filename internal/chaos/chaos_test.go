@@ -265,7 +265,9 @@ func TestParseSpec(t *testing.T) {
 		t.Fatalf("empty spec: %+v err=%v", cfg, err)
 	}
 	for _, bad := range []string{"mode=volcano,intensity=1", "drop=2", "intensity=0.5",
-		"mode=drop", "nonsense", "window=0,drop=0.1", "drop=x"} {
+		"mode=drop", "nonsense", "window=0,drop=0.1", "drop=x",
+		"iofault=0.1", "stall=0.1", "panic=0.1", "sticky=0.5", "stalltime=1s",
+		"mode=iofault,intensity=0.2", "mode=stall,intensity=0.2", "mode=panic,intensity=0.2"} {
 		if _, err := ParseSpec(bad); err == nil {
 			t.Errorf("spec %q should fail", bad)
 		}

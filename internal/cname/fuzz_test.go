@@ -14,12 +14,17 @@ import (
 // parses must re-render to an equivalent value.
 
 // chaosSeeds derives deterministic corrupted variants of valid inputs —
-// the byte-level damage a garbled log line inflicts on embedded cnames.
+// the byte-level damage a garbled log line inflicts on embedded cnames:
+// every chaos mode's rendering, then each input with a stray carriage
+// return, with leading padding, and cut off halfway.
 func chaosSeeds(label string, valid []string) []string {
 	var out []string
 	for _, mode := range chaos.AllModes() {
 		inj := chaos.New(chaos.ForMode(mode, 0.9, 23))
 		out = append(out, inj.CorruptLines(label+"/"+string(mode), valid)...)
+	}
+	for _, s := range valid {
+		out = append(out, s+"\r", " "+s, s[:len(s)/2])
 	}
 	return out
 }

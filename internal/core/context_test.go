@@ -38,25 +38,6 @@ func TestRunContextCancelled(t *testing.T) {
 	}
 }
 
-func TestRunContextReportFoldsLostChunks(t *testing.T) {
-	_, store := buildScenario(t, 2, 7)
-	res, err := RunContextReport(context.Background(), store, DefaultConfig(), 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Degradation.LostChunks != 3 {
-		t.Fatalf("LostChunks = %d, want 3", res.Degradation.LostChunks)
-	}
-	if !res.Degradation.Degraded() {
-		t.Error("lost chunks should degrade the result")
-	}
-	for _, d := range res.Diagnoses {
-		if !d.Degraded {
-			t.Fatal("diagnosis not stamped degraded despite lost chunks")
-		}
-	}
-}
-
 func TestSnapshotFileRoundTrip(t *testing.T) {
 	scn, store := buildScenario(t, 2, 7)
 	_ = scn

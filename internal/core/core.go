@@ -97,35 +97,11 @@ func IsTerminal(r *events.Record) bool {
 	return r.Field("intent") != "scheduled"
 }
 
-// detectIndices returns the indices of terminal records that survive
-// refractory merging — the records Detect turns into Detections. The
-// refractory state is per-node, so the result over any record subset
-// that keeps each node's records together and in order (e.g. one shard
-// of a ShardedStore) equals the global result restricted to that
-// subset.
-func detectIndices(recs []events.Record, cfg Config) []int {
-	var out []int
-	last := map[cname.Name]time.Time{}
-	for i := range recs {
-		r := &recs[i]
-		if !IsTerminal(r) {
-			continue
-		}
-		if prev, ok := last[r.Component]; ok && r.Time.Sub(prev) < cfg.RefractoryGap {
-			last[r.Component] = r.Time
-			continue
-		}
-		last[r.Component] = r.Time
-		out = append(out, i)
-	}
-	return out
-}
-
 // detector accumulates confirmed failures record-by-record — the
 // incremental form of Detect that Run's single-pass store traversal
 // feeds alongside the job-table and apid-index builders. Records must
-// arrive in time-sorted order (per node is enough, as with
-// detectIndices).
+// arrive in time-sorted order (per node is enough: the refractory
+// state is per node).
 type detector struct {
 	cfg  Config
 	last map[cname.Name]time.Time

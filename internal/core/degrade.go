@@ -1,7 +1,6 @@
 package core
 
 import (
-	"fmt"
 	"strings"
 
 	"hpcfail/internal/events"
@@ -26,18 +25,11 @@ type Degradation struct {
 	// MissingALPS: no placement log — apid → job resolution is lost on
 	// Cray-style systems.
 	MissingALPS bool
-	// LostChunks counts log chunks the ingestion supervisor quarantined
-	// (poisoned after exhausting retries) or dropped (circuit breaker).
-	// The corpus is incomplete in a way the stream-family flags cannot
-	// see: every family may be present yet have holes.
-	LostChunks int
 }
 
-// Degraded reports whether any stream family is absent or any ingestion
-// chunks were lost.
+// Degraded reports whether any stream family is absent.
 func (g Degradation) Degraded() bool {
-	return g.MissingInternal || g.MissingExternal || g.MissingScheduler || g.MissingALPS ||
-		g.LostChunks > 0
+	return g.MissingInternal || g.MissingExternal || g.MissingScheduler || g.MissingALPS
 }
 
 // Factor is the confidence multiplier applied to every diagnosis made
@@ -55,9 +47,6 @@ func (g Degradation) Factor() float64 {
 		f *= 0.8
 	}
 	if g.MissingALPS {
-		f *= 0.9
-	}
-	if g.LostChunks > 0 {
 		f *= 0.9
 	}
 	return f
@@ -78,9 +67,6 @@ func (g Degradation) Note() string {
 	}
 	if g.MissingALPS {
 		parts = append(parts, "ALPS placement log absent, apid resolution lost")
-	}
-	if g.LostChunks > 0 {
-		parts = append(parts, fmt.Sprintf("%d log chunks lost during ingestion", g.LostChunks))
 	}
 	if len(parts) == 0 {
 		return ""
@@ -113,25 +99,6 @@ func AssessDegradation(store *logstore.Store) Degradation {
 		MissingScheduler: !haveSched,
 		MissingALPS:      !haveALPS,
 	}
-}
-
-// AssessShardedDegradation combines per-shard assessments without
-// waiting for the merged view: a stream family is missing only when it
-// is missing from every shard (presence ORs, absence ANDs). Equivalent
-// to AssessDegradation over the merged store.
-func AssessShardedDegradation(ss *logstore.ShardedStore) Degradation {
-	g := Degradation{MissingInternal: true, MissingExternal: true, MissingScheduler: true, MissingALPS: true}
-	for i := 0; i < ss.NumShards(); i++ {
-		sg := AssessDegradation(ss.Shard(i))
-		g.MissingInternal = g.MissingInternal && sg.MissingInternal
-		g.MissingExternal = g.MissingExternal && sg.MissingExternal
-		g.MissingScheduler = g.MissingScheduler && sg.MissingScheduler
-		g.MissingALPS = g.MissingALPS && sg.MissingALPS
-		if !g.Degraded() {
-			break
-		}
-	}
-	return g
 }
 
 // applyDegradation stamps a degraded corpus's weaker confidence and the

@@ -64,32 +64,6 @@ func TestRunDegradedWithoutExternalAndScheduler(t *testing.T) {
 	}
 }
 
-func TestRunParallelMatchesRunDegraded(t *testing.T) {
-	_, store := buildScenario(t, 7, 307)
-	var kept []events.Record
-	for _, r := range store.All() {
-		if r.Stream.External() {
-			continue
-		}
-		kept = append(kept, r)
-	}
-	sub := logstore.New(kept)
-	serial := Run(sub, DefaultConfig())
-	par := RunParallel(sub, DefaultConfig(), 4)
-	if len(par.Diagnoses) != len(serial.Diagnoses) {
-		t.Fatalf("parallel %d diagnoses vs %d", len(par.Diagnoses), len(serial.Diagnoses))
-	}
-	for i := range serial.Diagnoses {
-		a, b := serial.Diagnoses[i], par.Diagnoses[i]
-		if a.Degraded != b.Degraded || a.Note != b.Note || !closeTo(a.Confidence, b.Confidence) {
-			t.Fatalf("diagnosis %d differs: %+v vs %+v", i, a, b)
-		}
-	}
-	if par.Degradation != serial.Degradation {
-		t.Errorf("degradation differs: %+v vs %+v", par.Degradation, serial.Degradation)
-	}
-}
-
 func closeTo(a, b float64) bool {
 	d := a - b
 	return d < 1e-9 && d > -1e-9

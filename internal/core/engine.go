@@ -23,7 +23,7 @@ import (
 // the store's index maps are shared with each snapshot shard by shard,
 // not cloned. Snapshot then assembles a *Result that is
 // value-identical (and therefore renders byte-identical) to
-// RunContextReport over a from-scratch store of the same arrival
+// RunContext over a from-scratch store of the same arrival
 // sequence; the differential harness in the repo root proves that
 // equality after every batch.
 //
@@ -571,12 +571,11 @@ func (e *Engine) publishJobs() {
 	e.jobs = out
 }
 
-// Snapshot assembles the Result for the corpus applied so far, with the
-// ingestion supervisor's lost-chunk count folded into the degradation
-// assessment exactly as RunContextReport does. The returned value
-// shares no mutable state with the engine and stays valid across later
-// ApplyBatch calls.
-func (e *Engine) Snapshot(lostChunks int) *Result {
+// Snapshot assembles the Result for the corpus applied so far. The
+// returned value shares no mutable state with the engine and stays
+// valid across later ApplyBatch calls. The int argument is ignored; it
+// stays because the benchmark harness in bench/ pins this signature.
+func (e *Engine) Snapshot(int) *Result {
 	var dets []Detection
 	if len(e.order) > 0 {
 		dets = make([]Detection, len(e.order))
@@ -599,7 +598,6 @@ func (e *Engine) Snapshot(lostChunks int) *Result {
 		MissingExternal:  !e.haveExt,
 		MissingScheduler: !e.haveSched,
 		MissingALPS:      !e.haveALPS,
-		LostChunks:       lostChunks,
 	}
 	applyDegradation(diags, deg)
 	return &Result{Store: e.store, Jobs: e.jobs, Detections: dets, Diagnoses: diags, Degradation: deg}

@@ -54,21 +54,11 @@ func Run(store *logstore.Store, cfg Config) *Result {
 	return res
 }
 
-// RunContext is Run under a context: cancellation (or a per-request
-// deadline, as the serving layer threads through) stops the per-failure
-// diagnosis loop between diagnoses and returns ctx.Err() with a nil
-// result. With an uncancelled context it is identical to Run. lost may
-// fold an ingestion supervisor's lost-chunk count into the degradation
-// assessment via RunContextReport.
+// RunContext is Run under a context: cancellation (or a deadline)
+// stops the per-failure diagnosis loop between diagnoses and returns
+// ctx.Err() with a nil result. With an uncancelled context it is
+// identical to Run.
 func RunContext(ctx context.Context, store *logstore.Store, cfg Config) (*Result, error) {
-	return RunContextReport(ctx, store, cfg, 0)
-}
-
-// RunContextReport is RunContext with an ingestion supervisor's
-// lost-chunk count folded into the degradation assessment — the
-// sequential-store counterpart of RunShardedReport, for callers (the
-// HTTP server) that carry an IngestReport alongside a merged store.
-func RunContextReport(ctx context.Context, store *logstore.Store, cfg Config, lostChunks int) (*Result, error) {
 	jobs, apids, dets := scanStore(store.All(), cfg)
 	rc := &RootCauser{Store: store, Jobs: jobs, Cfg: cfg, Apids: apids}
 	diags := make([]Diagnosis, len(dets))
@@ -79,7 +69,6 @@ func RunContextReport(ctx context.Context, store *logstore.Store, cfg Config, lo
 		diags[i] = rc.Diagnose(d)
 	}
 	deg := AssessDegradation(store)
-	deg.LostChunks = lostChunks
 	applyDegradation(diags, deg)
 	return &Result{Store: store, Jobs: jobs, Detections: dets, Diagnoses: diags, Degradation: deg}, nil
 }

@@ -97,18 +97,9 @@ var externalIndicatorCategories = map[string]bool{
 	faults.L0SysdMCE.Category(): true,
 }
 
-// StoreView is the read surface diagnosis needs from a record store.
-// Both the flat *logstore.Store and the sharded *logstore.ShardedStore
-// satisfy it; the sharded form answers NodeWindow from the node's own
-// shard, lock-free and without waiting for the merged global view.
-type StoreView interface {
-	All() []events.Record
-	NodeWindow(node cname.Name, from, to time.Time) logstore.Span
-}
-
 // RootCauser classifies detected failures against a log store.
 type RootCauser struct {
-	Store StoreView
+	Store *logstore.Store
 	Jobs  []workload.Job
 	Cfg   Config
 	// Apids resolves ALPS application ids (which compute-node logs
@@ -120,8 +111,7 @@ type RootCauser struct {
 	// Repeated failures of one node within the refractory cadence ask for
 	// overlapping or identical windows; entries are cheap because window
 	// results are views into the store, not copies. The cache makes a
-	// RootCauser unsafe for concurrent Diagnose — parallel pools hand
-	// each worker its own clone (see diagnosePool).
+	// RootCauser unsafe for concurrent Diagnose.
 	winCache map[windowKey]logstore.Span
 }
 
@@ -143,13 +133,6 @@ func (rc *RootCauser) nodeWindow(node cname.Name, from, to time.Time) logstore.S
 	}
 	rc.winCache[k] = recs
 	return recs
-}
-
-// clone returns a copy sharing the immutable inputs (store, jobs, apid
-// index) but with its own memoization cache, for use by one worker
-// goroutine.
-func (rc *RootCauser) clone() *RootCauser {
-	return &RootCauser{Store: rc.Store, Jobs: rc.Jobs, Cfg: rc.Cfg, Apids: rc.Apids}
 }
 
 // Diagnose runs root-cause inference for one detection.

@@ -60,7 +60,8 @@ func FuzzParseTorque(f *testing.F) {
 }
 
 // FuzzParseChaos seeds every parser family with chaos-corrupted
-// renders of valid lines and asserts the quarantine ledger stays
+// renders of valid lines, plus the valid lines themselves, CRLF-ended
+// and cut off halfway, and asserts the quarantine ledger stays
 // consistent: counts reconcile, reruns agree, nothing panics.
 func FuzzParseChaos(f *testing.F) {
 	valid := []string{
@@ -75,6 +76,11 @@ func FuzzParseChaos(f *testing.F) {
 		for _, l := range inj.CorruptLines(string(mode), valid) {
 			f.Add(l)
 		}
+	}
+	for _, l := range valid {
+		f.Add(l)
+		f.Add(l + "\r")
+		f.Add(l[:len(l)/2])
 	}
 	streams := []events.Stream{events.StreamConsole, events.StreamERD, events.StreamScheduler}
 	f.Fuzz(func(t *testing.T, line string) {

@@ -1,8 +1,7 @@
-// Sharded-ingestion support: a zero-allocation line scanner, string
-// interning for the tokens that repeat across millions of lines, and
-// chunk splitting with trace-safe boundaries so a file can be parsed by
-// several workers concurrently while producing output byte-identical to
-// the sequential parse.
+// Line-level helpers: a zero-allocation line scanner, string interning
+// for the tokens that repeat across millions of lines, and chunk
+// splitting with trace-safe boundaries whose chunk-by-chunk parse is
+// byte-identical to the whole-file parse.
 package logparse
 
 import (

@@ -8,7 +8,30 @@ import (
 
 	"hpcfail/internal/cname"
 	"hpcfail/internal/events"
+	"hpcfail/internal/faultsim"
+	"hpcfail/internal/topology"
 )
+
+// testScenario generates the two-day, 384-node corpus the Live and
+// Span tests cut into batches.
+func testScenario(t testing.TB) *faultsim.Scenario {
+	t.Helper()
+	p, err := faultsim.DefaultProfile("S1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	p.Spec = topology.Spec{ID: "S1", Nodes: 384, CabinetCols: 2,
+		Scheduler: topology.SchedulerSlurm, Cray: true}
+	p.FloodBladeIdx = nil
+	p.FloodStopIdx = -1
+	p.Workload.MeanInterarrival = 30 * time.Minute
+	start := time.Date(2015, 3, 2, 0, 0, 0, 0, time.UTC)
+	scn, err := faultsim.Generate(p, start, start.Add(2*24*time.Hour), 5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return scn
+}
 
 // liveArrivals cuts a generated corpus into canonically sorted batches
 // whose arrival order is not time order: every third batch changes
@@ -16,7 +39,7 @@ import (
 // rebuilt position lists on keys it already holds.
 func liveArrivals(t *testing.T, per int) (arrivals []events.Record, batches [][]events.Record) {
 	t.Helper()
-	return liveArrivalsOf(shardScenario(t).Records, per)
+	return liveArrivalsOf(testScenario(t).Records, per)
 }
 
 func liveArrivalsOf(recs []events.Record, per int) (arrivals []events.Record, batches [][]events.Record) {
@@ -158,7 +181,7 @@ func TestLiveSnapshotSharesUntouchedShards(t *testing.T) {
 // for keys only the displaced tail names, not the batch — and in-order
 // appends afterwards must extend the rebuilt lists.
 func TestLiveOutOfOrderKeepsPositions(t *testing.T) {
-	sorted := New(shardScenario(t).Records).All()
+	sorted := New(testScenario(t).Records).All()
 	// The scenario's last records trail off (jobs ending after the
 	// simulated window); the log proper ends two days in.
 	end := sorted[0].Time.Add(48 * time.Hour)

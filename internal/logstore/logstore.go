@@ -350,8 +350,7 @@ func componentIndexFallback(recs []events.Record) (byNode, byBlade, byCabinet po
 
 // newFromSorted builds the secondary indexes over records that are
 // already time-sorted. The slice is adopted, not copied — callers hand
-// over ownership (the sharded loader uses this to index each sealed
-// shard and the merged view without duplicating the corpus).
+// over ownership.
 func newFromSorted(recs []events.Record) *Store {
 	checkPositions(len(recs))
 	byNode, byBlade, byCabinet := buildComponentIndexes(recs)
@@ -484,51 +483,10 @@ func writeFiles(dir string, files map[string][]string) error {
 	return nil
 }
 
-// ErrInterrupted is returned (wrapped with no store) when a context
-// cancellation stops a streaming load before completion. The partial
-// IngestReport accompanies it; if the load was journaling to a WAL, a
-// ResumeLoadDir over the same journal picks up where it stopped.
+// ErrInterrupted is wrapped by the error a replay returns when a context
+// cancellation stops it before the end of the corpus (cmd/watch with
+// -checkpoint resumes from the saved watcher state).
 var ErrInterrupted = errors.New("logstore: load interrupted")
-
-// PoisonChunk records one chunk the supervisor gave up on: every parse
-// attempt panicked, stalled past the watchdog, or failed, so the chunk's
-// lines were quarantined wholesale rather than failing the load.
-type PoisonChunk struct {
-	// Stream names the stream the chunk belonged to.
-	Stream string
-	// Chunk is the chunk index within the stream.
-	Chunk int
-	// Lines is how many lines the chunk held (all lost).
-	Lines int
-	// Attempts is how many times the supervisor tried it.
-	Attempts int
-	// Reason is the last attempt's failure (panic value, watchdog).
-	Reason string
-}
-
-// String renders the poison record for operator output.
-func (p PoisonChunk) String() string {
-	return fmt.Sprintf("logstore: %s: poisoned chunk %d (%d lines) after %d attempts: %s",
-		p.Stream, p.Chunk, p.Lines, p.Attempts, p.Reason)
-}
-
-// BreakerTrip records a per-stream circuit breaker opening: too many
-// poisoned chunks in one stream, so its remaining chunks were dropped
-// and the stream left partial — degraded, not fatal.
-type BreakerTrip struct {
-	// Stream names the tripped stream.
-	Stream string
-	// Poisoned is the poisoned-chunk count that opened the breaker.
-	Poisoned int
-	// Dropped is how many later chunks were discarded unprocessed.
-	Dropped int
-}
-
-// String renders the trip for operator output.
-func (b BreakerTrip) String() string {
-	return fmt.Sprintf("logstore: %s: circuit breaker tripped after %d poisoned chunks; dropped %d remaining chunks",
-		b.Stream, b.Poisoned, b.Dropped)
-}
 
 // FileWarning records one ingestion problem that was survived rather
 // than fatal: an unreadable or empty log file skipped from the load.
@@ -559,11 +517,6 @@ type IngestReport struct {
 	// directory (a normal condition for systems that lack the stream,
 	// but the pipeline's degraded-mode input).
 	Missing []string
-	// Poisoned lists chunks the streaming supervisor quarantined after
-	// exhausting retries (panics, stalls). Empty for sequential loads.
-	Poisoned []PoisonChunk
-	// Tripped lists streams whose circuit breaker opened mid-load.
-	Tripped []BreakerTrip
 }
 
 // TotalParsed sums records parsed across streams.
@@ -593,19 +546,9 @@ func (r *IngestReport) TotalReordered() int {
 	return n
 }
 
-// LostChunks is the number of chunks whose lines never made the store:
-// poisoned by the supervisor plus dropped by tripped breakers.
-func (r *IngestReport) LostChunks() int {
-	n := len(r.Poisoned)
-	for _, b := range r.Tripped {
-		n += b.Dropped
-	}
-	return n
-}
-
 // Degraded reports whether the load was anything less than clean.
 func (r *IngestReport) Degraded() bool {
-	return len(r.Skipped) > 0 || r.TotalQuarantined() > 0 || r.LostChunks() > 0
+	return len(r.Skipped) > 0 || r.TotalQuarantined() > 0
 }
 
 // ParseErrors flattens every stream's retained errors, for callers of
@@ -636,25 +579,13 @@ func (r *IngestReport) Warnings() []string {
 		}
 		out = append(out, msg)
 	}
-	for _, p := range r.Poisoned {
-		out = append(out, p.String())
-	}
-	for _, b := range r.Tripped {
-		out = append(out, b.String())
-	}
 	return out
 }
 
-// String renders a one-line ingest summary. Supervisor losses are
-// appended only when any occurred, so sequential loads render as before.
+// String renders a one-line ingest summary.
 func (r *IngestReport) String() string {
-	s := fmt.Sprintf("ingest: %d records parsed, %d lines quarantined, %d reordered, %d files skipped, %d streams missing",
+	return fmt.Sprintf("ingest: %d records parsed, %d lines quarantined, %d reordered, %d files skipped, %d streams missing",
 		r.TotalParsed(), r.TotalQuarantined(), r.TotalReordered(), len(r.Skipped), len(r.Missing))
-	if r.LostChunks() > 0 {
-		s += fmt.Sprintf(", %d chunks lost (%d poisoned, %d breakers tripped)",
-			r.LostChunks(), len(r.Poisoned), len(r.Tripped))
-	}
-	return s
 }
 
 // LoadDirReport ingests a directory previously produced by WriteDir (or

@@ -129,7 +129,7 @@ func matchesScan(t *testing.T, label string, s *Store) {
 // arrives out of time order and holds records that tie on the whole
 // canonical key, so their order is arrival order alone.
 func TestSpanWindowEquivalence(t *testing.T) {
-	recs := shardScenario(t).Records
+	recs := testScenario(t).Records
 	for i := 0; i+100 < len(recs); i += 40 {
 		twin := recs[i]
 		twin.Msg = "twin of " + twin.Msg

@@ -9,7 +9,6 @@ package render
 
 import (
 	"encoding/json"
-	"errors"
 	"fmt"
 	"io"
 	"sort"
@@ -32,24 +31,6 @@ func Warnings(w io.Writer, warnings []string, max int) {
 		}
 		fmt.Fprintln(w, "warning:", s)
 	}
-}
-
-// Interrupted prints the partial ingest ledger and a resume hint when
-// err is (or wraps) logstore.ErrInterrupted, reporting whether it was.
-// rep may be nil (the interruption hit before any ledger existed); hint
-// is the caller's resume guidance, printed verbatim on its own line.
-func Interrupted(w io.Writer, err error, rep *logstore.IngestReport, hint string) bool {
-	if !errors.Is(err, logstore.ErrInterrupted) {
-		return false
-	}
-	if rep != nil {
-		fmt.Fprintln(w, "partial ingest at interruption:")
-		fmt.Fprintln(w, rep.String())
-	}
-	if hint != "" {
-		fmt.Fprintln(w, hint)
-	}
-	return true
 }
 
 // Diagnose writes the full text diagnosis report for one corpus — the

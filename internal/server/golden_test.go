@@ -2,7 +2,6 @@ package server
 
 import (
 	"bytes"
-	"context"
 	"net/http"
 	"os"
 	"path/filepath"
@@ -84,10 +83,7 @@ func TestDiagnoseGoldenParityAcrossIngests(t *testing.T) {
 	check := func(wm uint64) {
 		t.Helper()
 		wantStore := logstore.New(accum)
-		res, err := core.RunContextReport(context.Background(), wantStore, core.DefaultConfig(), wantRep.LostChunks())
-		if err != nil {
-			t.Fatal(err)
-		}
+		res := core.Run(wantStore, core.DefaultConfig())
 		var txt, js bytes.Buffer
 		if err := render.Diagnose(&txt, "the served corpus", wantStore, wantRep, res, false); err != nil {
 			t.Fatal(err)

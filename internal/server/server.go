@@ -61,12 +61,6 @@ type Config struct {
 	// MaxInflight bounds concurrently served ingest/diagnose requests;
 	// excess requests are shed with 429 (default 64).
 	MaxInflight int
-	// QueryTimeout bounds one diagnosis computation (default 30s). The
-	// incremental engine applies pending ingest deltas in cost
-	// proportional to the delta, not the corpus, and an apply is not
-	// cancellable — the timeout is retained as configuration surface and
-	// as the bound a from-scratch rebuild path would use.
-	QueryTimeout time.Duration
 	// CacheEntries bounds the rendered-response LRU (default 256).
 	CacheEntries int
 	// CheckpointPath, when set, is where Checkpoint persists the
@@ -137,9 +131,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.MaxInflight <= 0 {
 		c.MaxInflight = 64
-	}
-	if c.QueryTimeout <= 0 {
-		c.QueryTimeout = 30 * time.Second
 	}
 	if c.CacheEntries <= 0 {
 		c.CacheEntries = 256
@@ -445,7 +436,7 @@ func (s *Server) Seed(store *logstore.Store, rep *logstore.IngestReport) {
 	s.engMu.Lock()
 	start := time.Now()
 	s.eng.Seed(store)
-	res := s.eng.Snapshot(rep.LostChunks())
+	res := s.eng.Snapshot(0)
 	s.metrics.observeApply(time.Since(start), s.eng.LastApply())
 	s.engMu.Unlock()
 
@@ -575,7 +566,7 @@ func (s *Server) applyPending(wm uint64) *snapshot {
 
 	start := time.Now()
 	s.eng.ApplyBatch(delta)
-	res := s.eng.Snapshot(rep.LostChunks())
+	res := s.eng.Snapshot(0)
 	s.metrics.observeApply(time.Since(start), s.eng.LastApply())
 
 	snap := &snapshot{watermark: curWM, store: res.Store, rep: rep, res: res}
@@ -674,8 +665,6 @@ func cloneReport(r *logstore.IngestReport) *logstore.IngestReport {
 	}
 	cp.Skipped = append([]logstore.FileWarning(nil), r.Skipped...)
 	cp.Missing = append([]string(nil), r.Missing...)
-	cp.Poisoned = append([]logstore.PoisonChunk(nil), r.Poisoned...)
-	cp.Tripped = append([]logstore.BreakerTrip(nil), r.Tripped...)
 	return &cp
 }
 
