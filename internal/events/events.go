@@ -11,8 +11,10 @@
 package events
 
 import (
+	"cmp"
+	"encoding/json"
 	"fmt"
-	"sort"
+	"slices"
 	"strings"
 	"time"
 
@@ -159,24 +161,102 @@ type Record struct {
 	// a job; 0 means no job association.
 	JobID int64
 	// Fields carries structured attributes (sensor name, reading,
-	// threshold, module list, exit code, ...).
-	Fields map[string]string
+	// threshold, module list, exit code, ...): key/value pairs, one per
+	// key, kept sorted by key by SetField and the parsers.
+	Fields Attrs
 }
+
+// Attr is one structured attribute of a record.
+type Attr struct{ K, V string }
+
+// Attrs is a record's attribute list. A list is never written in place:
+// SetField builds a new one, and the parsers hand each record a
+// sub-slice whose capacity ends at its last attribute, so value copies
+// of a record never see each other's changes. Its JSON form is the one
+// a map[string]string has — an object with sorted keys, null when nil.
+type Attrs []Attr
 
 // Field returns the named attribute or "".
 func (r *Record) Field(k string) string {
-	if r.Fields == nil {
-		return ""
+	for i := range r.Fields {
+		if r.Fields[i].K == k {
+			return r.Fields[i].V
+		}
 	}
-	return r.Fields[k]
+	return ""
 }
 
-// SetField sets a structured attribute, allocating the map on first use.
+// SetField sets a structured attribute: it replaces the key's value or
+// inserts the key in sorted position, always into a new list exactly
+// as long as the result.
 func (r *Record) SetField(k, v string) {
-	if r.Fields == nil {
-		r.Fields = make(map[string]string, 4)
+	old := r.Fields
+	i := 0
+	for i < len(old) && old[i].K < k {
+		i++
 	}
-	r.Fields[k] = v
+	if i < len(old) && old[i].K == k {
+		if old[i].V == v {
+			return
+		}
+		nf := make(Attrs, len(old))
+		copy(nf, old)
+		nf[i].V = v
+		r.Fields = nf
+		return
+	}
+	nf := make(Attrs, len(old)+1)
+	copy(nf, old[:i])
+	nf[i] = Attr{k, v}
+	copy(nf[i+1:], old[i:])
+	r.Fields = nf
+}
+
+// byKey orders attributes by key.
+func byKey(x, y Attr) int { return strings.Compare(x.K, y.K) }
+
+// sorted returns the attributes in key order: the list itself when it
+// already is, else a sorted copy.
+func (a Attrs) sorted() Attrs {
+	if slices.IsSortedFunc(a, byKey) {
+		return a
+	}
+	c := slices.Clone(a)
+	slices.SortStableFunc(c, byKey)
+	return c
+}
+
+// MarshalJSON encodes the attributes as a JSON object with sorted keys,
+// byte for byte what encoding/json writes for the equivalent map.
+func (a Attrs) MarshalJSON() ([]byte, error) {
+	if a == nil {
+		return []byte("null"), nil
+	}
+	m := make(map[string]string, len(a))
+	for _, kv := range a {
+		m[kv.K] = kv.V
+	}
+	return json.Marshal(m)
+}
+
+// UnmarshalJSON decodes the object form MarshalJSON writes; null leaves
+// the list nil.
+func (a *Attrs) UnmarshalJSON(data []byte) error {
+	var m map[string]string
+	if err := json.Unmarshal(data, &m); err != nil {
+		return err
+	}
+	if m == nil {
+		*a = nil
+		return nil
+	}
+	out := make(Attrs, 0, len(m))
+	for k, v := range m {
+		out = append(out, Attr{k, v})
+	}
+	slices.SortFunc(out, byKey)
+	*a = out
+	return nil
 }
 
 // FieldsString renders attributes as "k1=v1 k2=v2" in sorted key order,
@@ -185,17 +265,14 @@ func (r *Record) FieldsString() string {
 	if len(r.Fields) == 0 {
 		return ""
 	}
-	keys := make([]string, 0, len(r.Fields))
-	for k := range r.Fields {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
 	var b strings.Builder
-	for i, k := range keys {
+	for i, kv := range r.Fields.sorted() {
 		if i > 0 {
 			b.WriteByte(' ')
 		}
-		fmt.Fprintf(&b, "%s=%s", k, r.Fields[k])
+		b.WriteString(kv.K)
+		b.WriteByte('=')
+		b.WriteString(kv.V)
 	}
 	return b.String()
 }
@@ -259,19 +336,18 @@ func SortByTime(rs []Record) {
 	for i := range rs {
 		keys[i] = sortKey{rs[i].Time.UnixNano(), int32(i)}
 	}
-	sort.Slice(keys, func(a, b int) bool {
-		ka, kb := keys[a], keys[b]
+	slices.SortFunc(keys, func(ka, kb sortKey) int {
 		if ka.t != kb.t {
-			return ka.t < kb.t
+			return cmp.Compare(ka.t, kb.t)
 		}
 		ra, rb := &rs[ka.idx], &rs[kb.idx]
 		if ra.Stream != rb.Stream {
-			return ra.Stream < rb.Stream
+			return cmp.Compare(ra.Stream, rb.Stream)
 		}
 		if c := cname.Compare(ra.Component, rb.Component); c != 0 {
-			return c < 0
+			return c
 		}
-		return ka.idx < kb.idx
+		return cmp.Compare(ka.idx, kb.idx)
 	})
 	// Apply the permutation in place by following its cycles (each
 	// record moves exactly once; no second record-sized buffer).

@@ -1,6 +1,9 @@
 package events
 
 import (
+	"encoding/json"
+	"reflect"
+	"slices"
 	"sort"
 	"strings"
 	"testing"
@@ -120,5 +123,86 @@ func TestSortByTime(t *testing.T) {
 	}
 	if len(compNames) == 2 && compNames[0] > compNames[1] {
 		t.Errorf("component tie-break not deterministic ascending: %v", compNames)
+	}
+}
+
+// TestSetFieldNeverWritesInPlace: value copies of a record share its
+// attribute list until one side changes it, and a change on either side
+// — a new key or a new value — is seen by that side alone.
+func TestSetFieldNeverWritesInPlace(t *testing.T) {
+	var a Record
+	a.SetField("sensor", "voltage")
+	a.SetField("value", "0.91")
+	b := a
+	a.SetField("direction", "below")
+	b.SetField("reading", "low")
+	a.SetField("value", "0.93")
+	if got, want := a.FieldsString(), "direction=below sensor=voltage value=0.93"; got != want {
+		t.Errorf("a = %q, want %q", got, want)
+	}
+	if got, want := b.FieldsString(), "reading=low sensor=voltage value=0.91"; got != want {
+		t.Errorf("b = %q, want %q", got, want)
+	}
+	for _, r := range []Record{a, b} {
+		if cap(r.Fields) != len(r.Fields) {
+			t.Errorf("Fields %v has spare capacity %d", r.Fields, cap(r.Fields)-len(r.Fields))
+		}
+	}
+
+	// A list with spare capacity — a sub-slice of a shared slab, say —
+	// is not appended to in place either.
+	slab := make(Attrs, 1, 8)
+	slab[0] = Attr{"k", "v"}
+	c := Record{Fields: slab}
+	d := c
+	c.SetField("x", "1")
+	d.SetField("y", "2")
+	if c.Field("y") != "" || d.Field("x") != "" || slab[:2][1] != (Attr{}) {
+		t.Errorf("SetField wrote into shared capacity: c=%q d=%q", c.FieldsString(), d.FieldsString())
+	}
+}
+
+// TestFieldsJSONIsTheMapForm: the attribute list encodes the way the
+// map[string]string it replaced did — an object with sorted keys, null
+// when nil — and decodes back to a sorted list.
+func TestFieldsJSONIsTheMapForm(t *testing.T) {
+	var r Record
+	for _, kv := range [][2]string{{"value", "0.91"}, {"direction", "<below>"}, {"sensor", "voltage"}} {
+		r.SetField(kv[0], kv[1])
+	}
+	m := map[string]string{"value": "0.91", "direction": "<below>", "sensor": "voltage"}
+	for _, c := range []struct {
+		name string
+		got  any
+		want any
+	}{
+		{"set", r.Fields, m},
+		{"unsorted", Attrs{{"value", "0.91"}, {"sensor", "voltage"}, {"direction", "<below>"}}, m},
+		{"nil", Attrs(nil), map[string]string(nil)},
+		{"empty", Attrs{}, map[string]string{}},
+	} {
+		got, err := json.Marshal(c.got)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, _ := json.Marshal(c.want)
+		if string(got) != string(want) {
+			t.Errorf("%s: %s, want %s", c.name, got, want)
+		}
+		var back Attrs
+		if err := json.Unmarshal(got, &back); err != nil {
+			t.Fatal(err)
+		}
+		if (back == nil) != (string(got) == "null") || !slices.IsSortedFunc(back, byKey) {
+			t.Errorf("%s: decoded %#v", c.name, back)
+		}
+	}
+	var back Record
+	blob, _ := json.Marshal(r)
+	if err := json.Unmarshal(blob, &back); err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(back.Fields, r.Fields) {
+		t.Errorf("round trip %v -> %v", r.Fields, back.Fields)
 	}
 }

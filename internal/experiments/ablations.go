@@ -135,10 +135,10 @@ func runAblationTrace(cfg Config) (*Result, error) {
 		copy(stripped, scn.Records)
 		for i := range stripped {
 			if stripped[i].Field("trace") != "" {
-				clone := make(map[string]string, len(stripped[i].Fields))
-				for k, v := range stripped[i].Fields {
-					if k != "trace" {
-						clone[k] = v
+				var clone events.Attrs
+				for _, kv := range stripped[i].Fields {
+					if kv.K != "trace" {
+						clone = append(clone, kv)
 					}
 				}
 				stripped[i].Fields = clone

@@ -7,6 +7,7 @@ package logparse
 
 import (
 	"testing"
+	"time"
 
 	"hpcfail/internal/chaos"
 	"hpcfail/internal/events"
@@ -101,6 +102,73 @@ func FuzzParseChaos(f *testing.F) {
 					t.Fatalf("%s: reparse of %q inconsistent: %+v vs %+v", stream, line, rep2, rep)
 				}
 			}
+		}
+	})
+}
+
+// FuzzParseTimestamp holds parseTS to time.Parse(tsFormat, s) on every
+// input: what the hand decoder accepts must be exactly the time.Parse
+// value (==, location included), and whatever it passes on must come
+// back as time.Parse's own value and error.
+func FuzzParseTimestamp(f *testing.F) {
+	for _, s := range []string{
+		"2015-03-02T10:15:30.000000Z",
+		"2015-03-02T10:15:30.123456Z",
+		"2000-02-29T00:00:00.000000Z", // leap: divisible by 400
+		"2015-02-29T00:00:00.000000Z", // not a leap year
+		"2016-02-29T23:59:59.999999Z",
+		"2100-02-29T12:00:00.000000Z", // not a leap year: divisible by 100
+		"2015-04-31T00:00:00.000000Z", // day 31 in 30-day months
+		"2015-06-31T00:00:00.000000Z",
+		"2015-09-31T00:00:00.000000Z",
+		"2015-11-31T00:00:00.000000Z",
+		"2015-12-31T23:59:59.999999Z",
+		"2015-03-02T24:00:00.000000Z", // hour 24
+		"2015-03-02T10:60:00.000000Z", // minute 60
+		"2015-03-02T10:15:60.000000Z", // second 60
+		"2015-13-02T10:15:30.000000Z",
+		"2015-00-02T10:15:30.000000Z",
+		"2015-03-00T10:15:30.000000Z",
+		"0000-01-01T00:00:00.000000Z",
+		"2O15-03-02T10:15:30.000000Z", // non-digits
+		"2015-03-02T1a:15:30.000000Z",
+		"2015-03-02T10:15:30.00000xZ",
+		"2015-03-02T10:15:30.+00000Z",
+		"2015-03-02T10:15:30,000000Z", // comma fraction
+		"2015-03-02T10:15:30.000000+00:00",
+		"2015-03-02T10:15:30.000000-07:00",
+		"2015-03-02T10:15:30.00000Z",   // length 26
+		"2015-03-02T10:15:30.0000000Z", // length 28
+		"2015-03-02T10:15:30.000000z",
+		"2015-03-02 10:15:30.000000Z",
+		"",
+	} {
+		f.Add(s)
+	}
+	f.Fuzz(func(t *testing.T, s string) {
+		want, wantErr := time.Parse(tsFormat, s)
+		if fast, ok := parseTSFast(s); ok {
+			if wantErr != nil || fast != want {
+				t.Fatalf("parseTSFast(%q) = %v, time.Parse = %v, %v", s, fast, want, wantErr)
+			}
+		}
+		got, err := parseTS(s)
+		if (err == nil) != (wantErr == nil) {
+			t.Fatalf("parseTS(%q) error %v, time.Parse error %v", s, err, wantErr)
+		}
+		if err != nil {
+			if err.Error() != wantErr.Error() {
+				t.Fatalf("parseTS(%q) error %q, time.Parse error %q", s, err, wantErr)
+			}
+			return
+		}
+		// A numeric offset gets a fresh FixedZone per time.Parse call, so
+		// two equal parses differ in the location pointer alone.
+		gotName, gotOff := got.Zone()
+		wantName, wantOff := want.Zone()
+		if got != want && (!got.Equal(want) || gotName != wantName || gotOff != wantOff ||
+			got.Location().String() != want.Location().String()) {
+			t.Fatalf("parseTS(%q) = %v, time.Parse = %v", s, got, want)
 		}
 	})
 }

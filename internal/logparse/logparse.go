@@ -228,7 +228,7 @@ func splitPrefix(line string) (ts time.Time, comp cname.Name, daemon, rest strin
 	if sp1 < 0 {
 		return ts, comp, "", "", fmt.Errorf("no timestamp")
 	}
-	ts, err = time.Parse(tsFormat, line[:sp1])
+	ts, err = parseTS(line[:sp1])
 	if err != nil {
 		return ts, comp, "", "", err
 	}
@@ -257,6 +257,7 @@ func splitPrefix(line string) (ts time.Time, comp cname.Name, daemon, rest strin
 func parseInternal(stream events.Stream, lines []string) ([]events.Record, []error) {
 	recs := make([]events.Record, 0, len(lines))
 	var errs []error
+	attrs := newAttrSlab(len(lines))
 	var traceLines []string // pending raw trace lines for the last record
 	flushTrace := func() {
 		if len(traceLines) == 0 || len(recs) == 0 {
@@ -309,8 +310,9 @@ func parseInternal(stream events.Stream, lines []string) ([]events.Record, []err
 				rest = rest[:idx]
 			}
 		}
-		// Strip trailing structured k=v tokens back into fields.
-		var kvs []string
+		// Strip trailing structured k=v tokens back into fields, last
+		// token first: of a repeated key the leftmost value wins.
+		attrs.begin()
 		for {
 			sp := strings.LastIndexByte(rest, ' ')
 			if sp < 0 {
@@ -320,21 +322,18 @@ func parseInternal(stream events.Stream, lines []string) ([]events.Record, []err
 			if !isKVToken(tok) {
 				break
 			}
-			kvs = append(kvs, tok)
+			eq := strings.IndexByte(tok, '=')
+			attrs.add(intern(tok[:eq]), intern(tok[eq+1:]))
 			rest = rest[:sp]
 		}
-		r := events.Record{
+		if strings.Contains(rest, "scheduled by operator") {
+			attrs.add("intent", "scheduled")
+		}
+		recs = append(recs, events.Record{
 			Time: ts, Stream: stream, Component: comp,
 			Severity: sev, Category: classify(rest), Msg: rest, JobID: jobID,
-		}
-		for _, kv := range kvs {
-			eq := strings.IndexByte(kv, '=')
-			r.SetField(intern(kv[:eq]), intern(kv[eq+1:]))
-		}
-		if strings.Contains(rest, "scheduled by operator") {
-			r.SetField("intent", "scheduled")
-		}
-		recs = append(recs, r)
+			Fields: attrs.fields(),
+		})
 	}
 	flushTrace()
 	return recs, errs
@@ -345,6 +344,7 @@ func parseInternal(stream events.Stream, lines []string) ([]events.Record, []err
 func parseTagged(stream events.Stream, lines []string) ([]events.Record, []error) {
 	recs := make([]events.Record, 0, len(lines))
 	var errs []error
+	attrs := newAttrSlab(len(lines))
 	for i, line := range lines {
 		if strings.TrimSpace(line) == "" {
 			continue
@@ -359,26 +359,24 @@ func parseTagged(stream events.Stream, lines []string) ([]events.Record, []error
 			fieldsPart = rest[idx+2:]
 			rest = rest[:idx]
 		}
-		parts := strings.SplitN(rest, " ", 3)
-		if len(parts) < 2 {
+		cat, rest, found := strings.Cut(rest, " ")
+		if !found {
 			errs = append(errs, &ParseError{Line: i + 1, Text: line, Err: fmt.Errorf("missing category/severity")})
 			continue
 		}
-		sev, err := events.ParseSeverity(parts[1])
+		sevTok, msg, _ := strings.Cut(rest, " ")
+		sev, err := events.ParseSeverity(sevTok)
 		if err != nil {
 			errs = append(errs, &ParseError{Line: i + 1, Text: line, Err: err})
 			continue
 		}
-		msg := ""
-		if len(parts) == 3 {
-			msg = parts[2]
-		}
-		r := events.Record{
+		attrs.begin()
+		parseFieldsInto(&attrs, fieldsPart)
+		recs = append(recs, events.Record{
 			Time: ts, Stream: stream, Component: comp,
-			Severity: sev, Category: intern(parts[0]), Msg: msg,
-		}
-		parseFieldsInto(&r, fieldsPart)
-		recs = append(recs, r)
+			Severity: sev, Category: intern(cat), Msg: msg,
+			Fields: attrs.fields(),
+		})
 	}
 	return recs, errs
 }
@@ -400,32 +398,97 @@ func isKVToken(tok string) bool {
 }
 
 // parseFieldsInto parses "k=v k2=v2" where values may contain spaces
-// (a token without '=' continues the previous value).
-func parseFieldsInto(r *events.Record, s string) {
+// (a token without '=' continues the previous value) into the record
+// being built. A value is the span of s from after its '=' to the end
+// of its last token.
+func parseFieldsInto(attrs *attrSlab, s string) {
 	if s == "" {
 		return
 	}
-	var key, val string
-	flush := func() {
-		if key != "" {
-			r.SetField(intern(key), intern(val))
+	var key string
+	var vFrom, vTo int
+	for off := 0; off <= len(s); {
+		end := strings.IndexByte(s[off:], ' ')
+		if end < 0 {
+			end = len(s)
+		} else {
+			end += off
 		}
-	}
-	for _, tok := range strings.Split(s, " ") {
+		tok := s[off:end]
 		if eq := strings.IndexByte(tok, '='); eq > 0 {
-			flush()
-			key, val = tok[:eq], tok[eq+1:]
+			if key != "" {
+				attrs.add(intern(key), intern(s[vFrom:vTo]))
+			}
+			key, vFrom, vTo = tok[:eq], off+eq+1, end
 		} else if key != "" {
-			val += " " + tok
+			vTo = end
 		}
+		off = end + 1
 	}
-	flush()
+	if key != "" {
+		attrs.add(intern(key), intern(s[vFrom:vTo]))
+	}
+}
+
+// attrSlab collects the attributes of one parse call's records in
+// shared backing chunks. The record being built owns the run at the
+// tail, kept sorted by key with one entry per key (a repeated key takes
+// the later value); fields hands the run to the record as a sub-slice
+// capped at its end (cap == len), so an append to one record's Fields
+// reallocates instead of landing in the next record's run. A full chunk
+// is followed by a fresh one, never copied: records keep pointing where
+// their run was written.
+type attrSlab struct {
+	buf   []events.Attr
+	start int // first attribute of the record being built
+	chunk int // capacity of each chunk
+}
+
+func newAttrSlab(lines int) attrSlab {
+	return attrSlab{chunk: min(max(2*lines, 16), 4096)}
+}
+
+// begin starts the next record's run, dropping the run of a record that
+// was abandoned before fields was called.
+func (s *attrSlab) begin() { s.buf = s.buf[:s.start] }
+
+// add sets k=v in the current run.
+func (s *attrSlab) add(k, v string) {
+	run := s.buf[s.start:]
+	i := 0
+	for i < len(run) && run[i].K < k {
+		i++
+	}
+	if i < len(run) && run[i].K == k {
+		run[i].V = v
+		return
+	}
+	if len(s.buf) == cap(s.buf) {
+		nb := make([]events.Attr, len(run), max(s.chunk, 2*len(run)+1))
+		copy(nb, run)
+		s.buf, s.start = nb, 0
+	}
+	s.buf = append(s.buf, events.Attr{})
+	run = s.buf[s.start:]
+	copy(run[i+1:], run[i:])
+	run[i] = events.Attr{K: k, V: v}
+}
+
+// fields ends the current run and returns it, nil when empty.
+func (s *attrSlab) fields() events.Attrs {
+	if len(s.buf) == s.start {
+		return nil
+	}
+	run := s.buf[s.start:len(s.buf):len(s.buf)]
+	s.start = len(s.buf)
+	return run
 }
 
 // parseALPS handles "ts apsched: CATEGORY jobid=N apid=M [status=S] [nodes=...]".
 func parseALPS(lines []string) ([]events.Record, []error) {
 	recs := make([]events.Record, 0, len(lines))
 	var errs []error
+	attrs := newAttrSlab(len(lines))
 	for i, line := range lines {
 		if strings.TrimSpace(line) == "" {
 			continue
@@ -435,20 +498,23 @@ func parseALPS(lines []string) ([]events.Record, []error) {
 			errs = append(errs, &ParseError{Line: i + 1, Text: line, Err: fmt.Errorf("no timestamp")})
 			continue
 		}
-		ts, err := time.Parse(tsFormat, line[:sp])
+		ts, err := parseTS(line[:sp])
 		if err != nil {
 			errs = append(errs, &ParseError{Line: i + 1, Text: line, Err: err})
 			continue
 		}
 		rest := strings.TrimPrefix(line[sp+1:], "apsched: ")
-		toks := strings.Split(rest, " ")
-		if len(toks) == 0 || toks[0] == "" {
+		cat, toks, _ := strings.Cut(rest, " ")
+		if cat == "" {
 			errs = append(errs, &ParseError{Line: i + 1, Text: line, Err: fmt.Errorf("missing category")})
 			continue
 		}
-		r := events.Record{Time: ts, Stream: events.StreamALPS, Severity: events.SevInfo, Category: intern(toks[0])}
+		r := events.Record{Time: ts, Stream: events.StreamALPS, Severity: events.SevInfo, Category: intern(cat)}
+		attrs.begin()
 		ok := true
-		for _, tok := range toks[1:] {
+		for toks != "" {
+			var tok string
+			tok, toks, _ = strings.Cut(toks, " ")
 			eq := strings.IndexByte(tok, '=')
 			if eq <= 0 {
 				continue
@@ -463,16 +529,24 @@ func parseALPS(lines []string) ([]events.Record, []error) {
 				}
 				r.JobID = id
 			case "apid", "status", "nodes":
-				r.SetField(intern(k), intern(v))
+				attrs.add(intern(k), intern(v))
 			}
 		}
 		if !ok {
 			continue
 		}
-		if r.Field("status") != "" && r.Field("status") != "0" {
+		r.Fields = attrs.fields()
+		if st := r.Field("status"); st != "" && st != "0" {
 			r.Severity = events.SevWarning
 		}
-		r.Msg = fmt.Sprintf("apsched: %s apid %s (job %d)", r.Category, r.Field("apid"), r.JobID)
+		var buf [64]byte
+		b := append(buf[:0], "apsched: "...)
+		b = append(b, r.Category...)
+		b = append(b, " apid "...)
+		b = append(b, r.Field("apid")...)
+		b = append(b, " (job "...)
+		b = strconv.AppendInt(b, r.JobID, 10)
+		r.Msg = string(append(b, ')'))
 		recs = append(recs, r)
 	}
 	return recs, errs
@@ -482,6 +556,7 @@ func parseALPS(lines []string) ([]events.Record, []error) {
 func parseSlurm(lines []string) ([]events.Record, []error) {
 	recs := make([]events.Record, 0, len(lines))
 	var errs []error
+	attrs := newAttrSlab(len(lines))
 	for i, line := range lines {
 		if strings.TrimSpace(line) == "" {
 			continue
@@ -491,17 +566,19 @@ func parseSlurm(lines []string) ([]events.Record, []error) {
 			errs = append(errs, &ParseError{Line: i + 1, Text: line, Err: fmt.Errorf("no timestamp")})
 			continue
 		}
-		ts, err := time.Parse(tsFormat, line[:sp])
+		ts, err := parseTS(line[:sp])
 		if err != nil {
 			errs = append(errs, &ParseError{Line: i + 1, Text: line, Err: err})
 			continue
 		}
 		rest := strings.TrimPrefix(line[sp+1:], "slurmctld: ")
-		r, err := parseSchedulerKVs(ts, rest, "NodeList")
+		r, err := parseSchedulerKVs(&attrs, ts, rest)
 		if err != nil {
 			errs = append(errs, &ParseError{Line: i + 1, Text: line, Err: err})
 			continue
 		}
+		r.Severity = schedulerSeverity(&r)
+		r.Msg = schedulerMsg(&r)
 		recs = append(recs, r)
 	}
 	return recs, errs
@@ -511,6 +588,7 @@ func parseSlurm(lines []string) ([]events.Record, []error) {
 func parseTorque(lines []string) ([]events.Record, []error) {
 	recs := make([]events.Record, 0, len(lines))
 	var errs []error
+	attrs := newAttrSlab(len(lines))
 	for i, line := range lines {
 		if strings.TrimSpace(line) == "" {
 			continue
@@ -525,12 +603,13 @@ func parseTorque(lines []string) ([]events.Record, []error) {
 			errs = append(errs, &ParseError{Line: i + 1, Text: line, Err: err})
 			continue
 		}
-		r, err := parseSchedulerKVs(ts, parts[3], "exec_host")
+		r, err := parseSchedulerKVs(&attrs, ts, parts[3])
 		if err != nil {
 			errs = append(errs, &ParseError{Line: i + 1, Text: line, Err: err})
 			continue
 		}
-		// The job id lives in the record key "N.sdb".
+		// The job id lives in the record key "N.sdb"; it overrides the
+		// payload's JobId.
 		idStr := strings.TrimSuffix(parts[2], ".sdb")
 		id, err := strconv.ParseInt(idStr, 10, 64)
 		if err != nil {
@@ -538,17 +617,22 @@ func parseTorque(lines []string) ([]events.Record, []error) {
 			continue
 		}
 		r.JobID = id
-		r.Severity = schedulerSeverity(r)
-		r.Msg = schedulerMsg(r)
+		r.Severity = schedulerSeverity(&r)
+		r.Msg = schedulerMsg(&r)
 		recs = append(recs, r)
 	}
 	return recs, errs
 }
 
-// parseSchedulerKVs parses the shared scheduler payload.
-func parseSchedulerKVs(ts time.Time, s, nodesKey string) (events.Record, error) {
+// parseSchedulerKVs parses the shared scheduler payload into a record
+// without Severity and Msg, which depend on the job id the caller
+// settles.
+func parseSchedulerKVs(attrs *attrSlab, ts time.Time, s string) (events.Record, error) {
 	r := events.Record{Time: ts, Stream: events.StreamScheduler}
-	for _, tok := range strings.Split(s, " ") {
+	attrs.begin()
+	for s != "" {
+		var tok string
+		tok, s, _ = strings.Cut(s, " ")
 		eq := strings.IndexByte(tok, '=')
 		if eq <= 0 {
 			continue
@@ -564,15 +648,15 @@ func parseSchedulerKVs(ts time.Time, s, nodesKey string) (events.Record, error) 
 		case "Action":
 			r.Category = intern(v)
 		case "App":
-			r.SetField("app", intern(v))
+			attrs.add("app", intern(v))
 		case "User":
-			r.SetField("user", intern(v))
+			attrs.add("user", intern(v))
 		case "State":
-			r.SetField("state", intern(v))
+			attrs.add("state", intern(v))
 		case "ExitCode":
-			r.SetField("exit_code", intern(v))
+			attrs.add("exit_code", intern(v))
 		case "ReqMem":
-			r.SetField("req_mem_mb", intern(strings.TrimSuffix(v, "M")))
+			attrs.add("req_mem_mb", intern(strings.TrimSuffix(v, "M")))
 		case "Node":
 			n, err := cname.Parse(v)
 			if err != nil {
@@ -580,22 +664,19 @@ func parseSchedulerKVs(ts time.Time, s, nodesKey string) (events.Record, error) 
 			}
 			r.Component = n
 		case "NodeList", "exec_host":
-			_ = nodesKey
-			r.SetField("nodes", v)
+			attrs.add("nodes", v)
 		}
 	}
 	if r.Category == "" {
 		return r, fmt.Errorf("missing Action")
 	}
-	// Torque lines carry the job id in the record key too; the KV wins.
-	r.Severity = schedulerSeverity(r)
-	r.Msg = schedulerMsg(r)
+	r.Fields = attrs.fields()
 	return r, nil
 }
 
 // schedulerSeverity reconstructs the severity convention of
 // workload.EndEvent.
-func schedulerSeverity(r events.Record) events.Severity {
+func schedulerSeverity(r *events.Record) events.Severity {
 	if r.Category != "job_end" {
 		return events.SevInfo
 	}
@@ -615,18 +696,32 @@ func schedulerSeverity(r events.Record) events.Severity {
 
 // schedulerMsg renders a canonical message for parsed scheduler records
 // (the raw formats carry no free-text message).
-func schedulerMsg(r events.Record) string {
+func schedulerMsg(r *events.Record) string {
+	var buf [96]byte
+	b := buf[:0]
 	switch r.Category {
 	case "job_start":
-		return fmt.Sprintf("job %d (%s) started", r.JobID, r.Field("app"))
+		b = append(b, "job "...)
+		b = strconv.AppendInt(b, r.JobID, 10)
+		b = append(b, " ("...)
+		b = append(b, r.Field("app")...)
+		b = append(b, ") started"...)
 	case "job_end":
-		return fmt.Sprintf("job %d (%s) ended state=%s exit=%s",
-			r.JobID, r.Field("app"), r.Field("state"), r.Field("exit_code"))
+		b = append(b, "job "...)
+		b = strconv.AppendInt(b, r.JobID, 10)
+		b = append(b, " ("...)
+		b = append(b, r.Field("app")...)
+		b = append(b, ") ended state="...)
+		b = append(b, r.Field("state")...)
+		b = append(b, " exit="...)
+		b = append(b, r.Field("exit_code")...)
 	case "job_epilogue":
-		return fmt.Sprintf("epilogue: cleaning job %d", r.JobID)
+		b = append(b, "epilogue: cleaning job "...)
+		b = strconv.AppendInt(b, r.JobID, 10)
 	default:
 		return r.Category
 	}
+	return string(b)
 }
 
 // JobTableBuilder reconstructs the job table one record at a time — the

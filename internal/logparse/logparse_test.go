@@ -92,9 +92,9 @@ func compareRoundTrip(t *testing.T, orig, parsed []events.Record) {
 		}
 		// Structured fields survive (trace loses offsets by design but
 		// keeps symbols/modules — Encode form is identical).
-		for k, v := range o.Fields {
-			if got := p.Field(k); got != v {
-				t.Errorf("record %d field %s=%q -> %q (cat %q)", i, k, v, got, o.Category)
+		for _, kv := range o.Fields {
+			if got := p.Field(kv.K); got != kv.V {
+				t.Errorf("record %d field %s=%q -> %q (cat %q)", i, kv.K, kv.V, got, o.Category)
 				mismatch++
 			}
 		}

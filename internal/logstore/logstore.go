@@ -168,11 +168,13 @@ func hashString(s string) uint32 { // FNV-1a
 	return h
 }
 
-// New builds a store over the records (copied and sorted by time).
+// New builds a store over the records (copied and sorted by time). The
+// order is events.SortByTime's: the input is cut into its ascending
+// runs — a directory load holds one per stream file — and the runs are
+// merged straight into the copy, ties going to the earlier run.
 func New(recs []events.Record) *Store {
 	cp := make([]events.Record, len(recs))
-	copy(cp, recs)
-	events.SortByTime(cp)
+	mergeRuns(cp, recs)
 	return newFromSorted(cp)
 }
 
