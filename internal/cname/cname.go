@@ -16,6 +16,7 @@
 package cname
 
 import (
+	"cmp"
 	"fmt"
 	"strconv"
 	"strings"
@@ -64,72 +65,103 @@ const (
 	NodesPerCabinet   = ChassisPerCabinet * NodesPerChassis
 )
 
+// MaxCoord is the largest cabinet column or row a Name can hold.
+const MaxCoord = 1<<20 - 1
+
 // Name is a parsed component name. The zero value is invalid.
-type Name struct {
-	level   Level
-	col     int // cabinet column (X)
-	row     int // cabinet row (Y)
-	chassis int // 0..2, valid for LevelChassis and finer
-	slot    int // 0..15, valid for LevelBlade and finer
-	node    int // 0..3, valid for LevelNode
+//
+// A Name is one word. From the low bits it holds the level (3 bits),
+// node, slot and chassis (6 bits each), column and row (20 bits each).
+// Row is the most significant field and level the least, so the integer
+// order of two words is Compare's order, and the enclosing blade,
+// chassis or cabinet is the same word with its finer fields cleared.
+//
+// Coordinates are bounded: column and row lie in [0, MaxCoord], chassis,
+// slot and node in the platform geometry (ChassisPerCabinet,
+// SlotsPerChassis, NodesPerBlade). Parse rejects a name outside these
+// bounds; the constructors panic, since only a bug can produce one.
+type Name struct{ w uint64 }
+
+// Field offsets in the word; column and row are 20 bits wide, the
+// others fit in their 6.
+const (
+	nodeShift    = 3
+	slotShift    = 9
+	chassisShift = 15
+	colShift     = 21
+	rowShift     = 41
+	levelMask    = 1<<nodeShift - 1
+	subMask      = 1<<6 - 1 // chassis, slot, node
+)
+
+// keepShift[l] is the offset of the finest field a level-l name uses:
+// masking off the bits below it and setting l yields the enclosing
+// component at that level.
+var keepShift = [...]uint{LevelCabinet: colShift, LevelChassis: chassisShift, LevelBlade: slotShift, LevelNode: nodeShift}
+
+func pack(level Level, col, row, chassis, slot, node int) Name {
+	if uint(col) > MaxCoord || uint(row) > MaxCoord || uint(chassis) >= ChassisPerCabinet ||
+		uint(slot) >= SlotsPerChassis || uint(node) >= NodesPerBlade {
+		panic(fmt.Sprintf("cname: %v coordinate out of range (col %d, row %d, chassis %d, slot %d, node %d)",
+			level, col, row, chassis, slot, node))
+	}
+	return Name{uint64(level) | uint64(node)<<nodeShift | uint64(slot)<<slotShift |
+		uint64(chassis)<<chassisShift | uint64(col)<<colShift | uint64(row)<<rowShift}
 }
 
 // Cabinet constructs a cabinet-level name.
-func Cabinet(col, row int) Name {
-	return Name{level: LevelCabinet, col: col, row: row}
-}
+func Cabinet(col, row int) Name { return pack(LevelCabinet, col, row, 0, 0, 0) }
 
 // Chassis constructs a chassis-level name.
-func Chassis(col, row, chassis int) Name {
-	return Name{level: LevelChassis, col: col, row: row, chassis: chassis}
-}
+func Chassis(col, row, chassis int) Name { return pack(LevelChassis, col, row, chassis, 0, 0) }
 
 // Blade constructs a blade-level name.
-func Blade(col, row, chassis, slot int) Name {
-	return Name{level: LevelBlade, col: col, row: row, chassis: chassis, slot: slot}
-}
+func Blade(col, row, chassis, slot int) Name { return pack(LevelBlade, col, row, chassis, slot, 0) }
 
 // Node constructs a node-level name.
 func Node(col, row, chassis, slot, node int) Name {
-	return Name{level: LevelNode, col: col, row: row, chassis: chassis, slot: slot, node: node}
+	return pack(LevelNode, col, row, chassis, slot, node)
 }
 
 // Level reports the granularity of the name.
-func (n Name) Level() Level { return n.level }
+func (n Name) Level() Level { return Level(n.w & levelMask) }
 
 // IsValid reports whether the name addresses a component.
-func (n Name) IsValid() bool { return n.level != LevelInvalid }
+func (n Name) IsValid() bool { return n.w != 0 }
 
 // Col returns the cabinet column.
-func (n Name) Col() int { return n.col }
+func (n Name) Col() int { return int(n.w >> colShift & MaxCoord) }
 
 // Row returns the cabinet row.
-func (n Name) Row() int { return n.row }
+func (n Name) Row() int { return int(n.w >> rowShift) }
 
 // ChassisIndex returns the chassis number within the cabinet. Valid for
 // chassis-level names and finer.
-func (n Name) ChassisIndex() int { return n.chassis }
+func (n Name) ChassisIndex() int { return int(n.w >> chassisShift & subMask) }
 
 // SlotIndex returns the blade slot within the chassis. Valid for
 // blade-level names and finer.
-func (n Name) SlotIndex() int { return n.slot }
+func (n Name) SlotIndex() int { return int(n.w >> slotShift & subMask) }
 
 // NodeIndex returns the node number on the blade. Valid for node-level
 // names only.
-func (n Name) NodeIndex() int { return n.node }
+func (n Name) NodeIndex() int { return int(n.w >> nodeShift & subMask) }
 
-// Key returns an injective 64-bit encoding of the name: two Names are
-// equal exactly when their Keys are equal. It exists so hot map indexes
-// can hash one word instead of the full struct. ok is false when a
-// coordinate falls outside 12 bits (negative or ≥4096), in which case
-// callers must hash the Name itself.
-func (n Name) Key() (uint64, bool) {
-	if uint(n.col)|uint(n.row)|uint(n.chassis)|uint(n.slot)|uint(n.node) >= 4096 || uint(n.level) >= 16 {
-		return 0, false
-	}
-	return uint64(n.level) |
-		uint64(n.col)<<4 | uint64(n.row)<<16 |
-		uint64(n.chassis)<<28 | uint64(n.slot)<<40 | uint64(n.node)<<52, true
+// Key returns the name's word. Two Names are equal exactly when their
+// Keys are, and Keys order as Compare does, so hot map indexes and sorts
+// can use the word directly.
+func (n Name) Key() uint64 { return n.w }
+
+// up returns the enclosing component at level l, which must not be finer
+// than n's level.
+func (n Name) up(l Level) Name {
+	return Name{n.w&^(1<<keepShift[l]-1) | uint64(l)}
+}
+
+// onBlade returns node i, in [0, NodesPerBlade), on the blade of a
+// blade- or node-level name.
+func (n Name) onBlade(i int) Name {
+	return Name{n.w&^(1<<slotShift-1) | uint64(LevelNode) | uint64(i)<<nodeShift}
 }
 
 // appendName appends the canonical cname form to buf. The rendering
@@ -138,27 +170,28 @@ func (n Name) Key() (uint64, bool) {
 // rendering and scheduler node-list output).
 func appendName(buf []byte, n Name) []byte {
 	buf = append(buf, 'c')
-	buf = strconv.AppendInt(buf, int64(n.col), 10)
+	buf = strconv.AppendInt(buf, int64(n.Col()), 10)
 	buf = append(buf, '-')
-	buf = strconv.AppendInt(buf, int64(n.row), 10)
-	if n.level >= LevelChassis {
+	buf = strconv.AppendInt(buf, int64(n.Row()), 10)
+	level := n.Level()
+	if level >= LevelChassis {
 		buf = append(buf, 'c')
-		buf = strconv.AppendInt(buf, int64(n.chassis), 10)
+		buf = strconv.AppendInt(buf, int64(n.ChassisIndex()), 10)
 	}
-	if n.level >= LevelBlade {
+	if level >= LevelBlade {
 		buf = append(buf, 's')
-		buf = strconv.AppendInt(buf, int64(n.slot), 10)
+		buf = strconv.AppendInt(buf, int64(n.SlotIndex()), 10)
 	}
-	if n.level >= LevelNode {
+	if level >= LevelNode {
 		buf = append(buf, 'n')
-		buf = strconv.AppendInt(buf, int64(n.node), 10)
+		buf = strconv.AppendInt(buf, int64(n.NodeIndex()), 10)
 	}
 	return buf
 }
 
 // String renders the canonical cname form.
 func (n Name) String() string {
-	if n.level == LevelInvalid {
+	if !n.IsValid() {
 		return "<invalid cname>"
 	}
 	var buf [24]byte
@@ -167,50 +200,35 @@ func (n Name) String() string {
 
 // CabinetName returns the enclosing cabinet.
 func (n Name) CabinetName() Name {
-	if n.level == LevelInvalid {
+	if !n.IsValid() {
 		return Name{}
 	}
-	return Cabinet(n.col, n.row)
+	return n.up(LevelCabinet)
 }
 
 // ChassisName returns the enclosing chassis, or an invalid Name for
 // cabinet-level input.
 func (n Name) ChassisName() Name {
-	if n.level < LevelChassis {
+	if n.Level() < LevelChassis {
 		return Name{}
 	}
-	return Chassis(n.col, n.row, n.chassis)
+	return n.up(LevelChassis)
 }
 
 // BladeName returns the enclosing blade, or an invalid Name for input
 // coarser than a blade.
 func (n Name) BladeName() Name {
-	if n.level < LevelBlade {
+	if n.Level() < LevelBlade {
 		return Name{}
 	}
-	return Blade(n.col, n.row, n.chassis, n.slot)
+	return n.up(LevelBlade)
 }
 
 // Contains reports whether n encloses (or equals) other in the physical
 // hierarchy. A cabinet contains its chassis, blades and nodes; a blade
 // contains its nodes; every component contains itself.
 func (n Name) Contains(other Name) bool {
-	if n.level == LevelInvalid || other.level == LevelInvalid || n.level > other.level {
-		return false
-	}
-	if n.col != other.col || n.row != other.row {
-		return false
-	}
-	if n.level >= LevelChassis && n.chassis != other.chassis {
-		return false
-	}
-	if n.level >= LevelBlade && n.slot != other.slot {
-		return false
-	}
-	if n.level >= LevelNode && n.node != other.node {
-		return false
-	}
-	return true
+	return n.IsValid() && n.Level() <= other.Level() && other.up(n.Level()) == n
 }
 
 // SameBlade reports whether two node- or blade-level names share a blade.
@@ -223,21 +241,20 @@ func SameBlade(a, b Name) bool {
 
 // SameCabinet reports whether two names share a cabinet.
 func SameCabinet(a, b Name) bool {
-	return a.IsValid() && b.IsValid() && a.col == b.col && a.row == b.row
+	return a.IsValid() && b.IsValid() && a.w>>colShift == b.w>>colShift
 }
 
 // Siblings returns the other nodes on the same blade as the given
 // node-level name. Returns nil for non-node input.
 func (n Name) Siblings() []Name {
-	if n.level != LevelNode {
+	if n.Level() != LevelNode {
 		return nil
 	}
 	out := make([]Name, 0, NodesPerBlade-1)
 	for i := 0; i < NodesPerBlade; i++ {
-		if i == n.node {
-			continue
+		if i != n.NodeIndex() {
+			out = append(out, n.onBlade(i))
 		}
-		out = append(out, Node(n.col, n.row, n.chassis, n.slot, i))
 	}
 	return out
 }
@@ -247,14 +264,15 @@ func (n Name) Siblings() []Name {
 // a similar "nid" integer (e.g. nid00042) alongside the cname. The
 // mapping enumerates cabinets row-major, then chassis, slot, node.
 func (n Name) NID(cols int) int {
-	if n.level != LevelNode || cols <= 0 {
+	if n.Level() != LevelNode || cols <= 0 {
 		return -1
 	}
-	cab := n.row*cols + n.col
-	return ((cab*ChassisPerCabinet+n.chassis)*SlotsPerChassis+n.slot)*NodesPerBlade + n.node
+	cab := n.Row()*cols + n.Col()
+	return ((cab*ChassisPerCabinet+n.ChassisIndex())*SlotsPerChassis+n.SlotIndex())*NodesPerBlade + n.NodeIndex()
 }
 
 // FromNID inverts NID for a machine with the given cabinet column count.
+// A nid whose cabinet falls outside MaxCoord yields the invalid Name.
 func FromNID(nid, cols int) Name {
 	if nid < 0 || cols <= 0 {
 		return Name{}
@@ -265,7 +283,11 @@ func FromNID(nid, cols int) Name {
 	nid /= SlotsPerChassis
 	chassis := nid % ChassisPerCabinet
 	cab := nid / ChassisPerCabinet
-	return Node(cab%cols, cab/cols, chassis, slot, node)
+	col, row := cab%cols, cab/cols
+	if col > MaxCoord || row > MaxCoord {
+		return Name{}
+	}
+	return Node(col, row, chassis, slot, node)
 }
 
 // NIDString renders the Cray-style zero-padded node id, e.g. "nid00042".
@@ -286,7 +308,8 @@ func ParseNID(s string) (int, error) {
 }
 
 // Parse parses a cname of any level. It accepts the canonical forms
-// produced by String: cX-Y, cX-YcC, cX-YcCsS, cX-YcCsSnN.
+// produced by String: cX-Y, cX-YcC, cX-YcCsS, cX-YcCsSnN, with X and Y
+// at most MaxCoord and C, S, N within the platform geometry.
 func Parse(s string) (Name, error) {
 	orig := s
 	fail := func() (Name, error) {
@@ -301,7 +324,7 @@ func Parse(s string) (Name, error) {
 		return fail()
 	}
 	col, err := strconv.Atoi(s[:dash])
-	if err != nil || col < 0 {
+	if err != nil || col < 0 || col > MaxCoord {
 		return fail()
 	}
 	s = s[dash+1:]
@@ -314,23 +337,18 @@ func Parse(s string) (Name, error) {
 		return fail()
 	}
 	row, err := strconv.Atoi(s[:i])
-	if err != nil {
+	if err != nil || row > MaxCoord {
 		return fail()
 	}
 	s = s[i:]
-	name := Cabinet(col, row)
-	for _, part := range []struct {
+	level := LevelCabinet
+	var sub [3]int // chassis, slot, node
+	for k, part := range [...]struct {
 		tag   byte
-		set   func(int)
-		lvl   Level
 		bound int
-	}{
-		{'c', func(v int) { name.chassis = v }, LevelChassis, ChassisPerCabinet},
-		{'s', func(v int) { name.slot = v }, LevelBlade, SlotsPerChassis},
-		{'n', func(v int) { name.node = v }, LevelNode, NodesPerBlade},
-	} {
+	}{{'c', ChassisPerCabinet}, {'s', SlotsPerChassis}, {'n', NodesPerBlade}} {
 		if len(s) == 0 {
-			return name, nil
+			break
 		}
 		if s[0] != part.tag {
 			return fail()
@@ -344,17 +362,17 @@ func Parse(s string) (Name, error) {
 			return fail()
 		}
 		v, err := strconv.Atoi(s[:j])
-		if err != nil || v < 0 || v >= part.bound {
+		if err != nil || v >= part.bound {
 			return fail()
 		}
-		part.set(v)
-		name.level = part.lvl
+		sub[k] = v
+		level = LevelChassis + Level(k)
 		s = s[j:]
 	}
 	if len(s) != 0 {
 		return fail()
 	}
-	return name, nil
+	return pack(level, col, row, sub[0], sub[1], sub[2]), nil
 }
 
 // MustParse is Parse that panics on error; for constants in tests and
@@ -393,30 +411,4 @@ func (n *Name) UnmarshalText(text []byte) error {
 
 // Compare orders names hierarchically (row, col, chassis, slot, node,
 // level). Suitable for sorting event listings into physical order.
-func Compare(a, b Name) int {
-	switch {
-	case a.row != b.row:
-		return cmpInt(a.row, b.row)
-	case a.col != b.col:
-		return cmpInt(a.col, b.col)
-	case a.chassis != b.chassis:
-		return cmpInt(a.chassis, b.chassis)
-	case a.slot != b.slot:
-		return cmpInt(a.slot, b.slot)
-	case a.node != b.node:
-		return cmpInt(a.node, b.node)
-	default:
-		return cmpInt(int(a.level), int(b.level))
-	}
-}
-
-func cmpInt(a, b int) int {
-	switch {
-	case a < b:
-		return -1
-	case a > b:
-		return 1
-	default:
-		return 0
-	}
-}
+func Compare(a, b Name) int { return cmp.Compare(a.w, b.w) }

@@ -1,8 +1,10 @@
 package cname
 
 import (
+	"math"
 	"testing"
 	"testing/quick"
+	"unsafe"
 )
 
 func TestStringForms(t *testing.T) {
@@ -24,7 +26,8 @@ func TestStringForms(t *testing.T) {
 }
 
 func TestParseRoundTrip(t *testing.T) {
-	for _, s := range []string{"c0-0", "c3-1c2", "c10-0c1s15", "c2-2c0s0n0", "c7-1c2s9n3"} {
+	for _, s := range []string{"c0-0", "c3-1c2", "c10-0c1s15", "c2-2c0s0n0", "c7-1c2s9n3",
+		"c1048575-0", "c0-1048575", "c1048575-1048575c2s15n3"} {
 		n, err := Parse(s)
 		if err != nil {
 			t.Fatalf("Parse(%q): %v", s, err)
@@ -43,6 +46,8 @@ func TestParseErrors(t *testing.T) {
 		"c0-0c0s0n1x", // trailing garbage
 		"c0-0s0",      // slot without chassis
 		"c0-0c0n1",    // node without slot
+		"c1048576-0",  // column above MaxCoord
+		"c0-1048576",  // row above MaxCoord
 	}
 	for _, s := range bad {
 		if _, err := Parse(s); err == nil {
@@ -246,5 +251,143 @@ func TestQuickNIDBijective(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
+	}
+}
+
+func TestNameIsOneWord(t *testing.T) {
+	if got := unsafe.Sizeof(Name{}); got != 8 {
+		t.Fatalf("unsafe.Sizeof(Name{}) = %d, want 8", got)
+	}
+}
+
+// gridNames enumerates every level over coordinates at 0, at the
+// geometry limits and at MaxCoord, plus the invalid Name.
+func gridNames() []Name {
+	out := []Name{{}}
+	for _, col := range []int{0, 1, 4095, 4096, MaxCoord} {
+		for _, row := range []int{0, 1, 4096, MaxCoord} {
+			out = append(out, Cabinet(col, row))
+			for _, ch := range []int{0, ChassisPerCabinet - 1} {
+				out = append(out, Chassis(col, row, ch))
+				for _, sl := range []int{0, SlotsPerChassis - 1} {
+					out = append(out, Blade(col, row, ch, sl))
+					for _, nd := range []int{0, NodesPerBlade - 1} {
+						out = append(out, Node(col, row, ch, sl, nd))
+					}
+				}
+			}
+		}
+	}
+	return out
+}
+
+// TestHierarchyByMaskMatchesConstructors pins the packed word: the
+// masked parents equal the constructor route, Compare equals the
+// field-wise order, and Contains and SameCabinet equal their field-wise
+// definitions.
+func TestHierarchyByMaskMatchesConstructors(t *testing.T) {
+	names := gridNames()
+	for _, n := range names {
+		if !n.IsValid() {
+			if n.CabinetName().IsValid() || n.ChassisName().IsValid() || n.BladeName().IsValid() {
+				t.Fatal("invalid name has a valid parent")
+			}
+			continue
+		}
+		col, row, ch, sl := n.Col(), n.Row(), n.ChassisIndex(), n.SlotIndex()
+		if got, want := n.CabinetName(), Cabinet(col, row); got != want {
+			t.Errorf("%v.CabinetName() = %v, want %v", n, got, want)
+		}
+		wantChassis, wantBlade := Name{}, Name{}
+		if n.Level() >= LevelChassis {
+			wantChassis = Chassis(col, row, ch)
+		}
+		if n.Level() >= LevelBlade {
+			wantBlade = Blade(col, row, ch, sl)
+		}
+		if got := n.ChassisName(); got != wantChassis {
+			t.Errorf("%v.ChassisName() = %v, want %v", n, got, wantChassis)
+		}
+		if got := n.BladeName(); got != wantBlade {
+			t.Errorf("%v.BladeName() = %v, want %v", n, got, wantBlade)
+		}
+		if back, err := Parse(n.String()); err != nil || back != n {
+			t.Errorf("Parse(%q) = %v, %v", n.String(), back, err)
+		}
+	}
+	containsRef := func(a, b Name) bool {
+		return a.IsValid() && b.IsValid() && a.Level() <= b.Level() &&
+			a.Col() == b.Col() && a.Row() == b.Row() &&
+			(a.Level() < LevelChassis || a.ChassisIndex() == b.ChassisIndex()) &&
+			(a.Level() < LevelBlade || a.SlotIndex() == b.SlotIndex()) &&
+			(a.Level() < LevelNode || a.NodeIndex() == b.NodeIndex())
+	}
+	for _, a := range names {
+		for _, b := range names {
+			if got, want := Compare(a, b), compareRef(a, b); got != want {
+				t.Fatalf("Compare(%v, %v) = %d, want %d", a, b, got, want)
+			}
+			if got, want := a.Contains(b), containsRef(a, b); got != want {
+				t.Fatalf("%v.Contains(%v) = %v, want %v", a, b, got, want)
+			}
+			wantSame := a.IsValid() && b.IsValid() && a.Col() == b.Col() && a.Row() == b.Row()
+			if got := SameCabinet(a, b); got != wantSame {
+				t.Fatalf("SameCabinet(%v, %v) = %v, want %v", a, b, got, wantSame)
+			}
+		}
+	}
+}
+
+// TestCoordinateBounds pins the bounds contract: constructors panic on a
+// coordinate outside it, FromNID returns the invalid Name.
+func TestCoordinateBounds(t *testing.T) {
+	panics := []struct {
+		name string
+		f    func() Name
+	}{
+		{"negative column", func() Name { return Cabinet(-1, 0) }},
+		{"column above MaxCoord", func() Name { return Cabinet(MaxCoord+1, 0) }},
+		{"row above MaxCoord", func() Name { return Chassis(0, MaxCoord+1, 0) }},
+		{"negative row", func() Name { return Node(0, -1, 0, 0, 0) }},
+		{"chassis 3", func() Name { return Chassis(0, 0, ChassisPerCabinet) }},
+		{"negative chassis", func() Name { return Blade(0, 0, -1, 0) }},
+		{"slot 16", func() Name { return Blade(0, 0, 0, SlotsPerChassis) }},
+		{"node 4", func() Name { return Node(0, 0, 0, 0, NodesPerBlade) }},
+		{"negative node", func() Name { return Node(0, 0, 0, 0, -1) }},
+	}
+	for _, c := range panics {
+		t.Run(c.name, func(t *testing.T) {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s: constructor did not panic", c.name)
+				}
+			}()
+			c.f()
+		})
+	}
+	if n := Node(MaxCoord, MaxCoord, ChassisPerCabinet-1, SlotsPerChassis-1, NodesPerBlade-1); n.Col() != MaxCoord || n.Row() != MaxCoord {
+		t.Errorf("largest node round-trips to %v", n)
+	}
+
+	lastRow := (MaxCoord+1)*NodesPerCabinet - 1 // one column: row == cabinet
+	nids := []struct {
+		name      string
+		nid, cols int
+		valid     bool
+	}{
+		{"last row", lastRow, 1, true},
+		{"row past MaxCoord", lastRow + 1, 1, false},
+		{"column past MaxCoord", (MaxCoord + 1) * NodesPerCabinet, MaxCoord + 2, false},
+		{"largest int", math.MaxInt, 3, false},
+		{"negative nid", -1, 4, false},
+		{"no columns", 0, 0, false},
+	}
+	for _, c := range nids {
+		if got := FromNID(c.nid, c.cols); got.IsValid() != c.valid {
+			t.Errorf("%s: FromNID(%d, %d) = %v, want valid %v", c.name, c.nid, c.cols, got, c.valid)
+		}
+	}
+	if got := FromNID(lastRow, 1); got != Node(0, MaxCoord, ChassisPerCabinet-1, SlotsPerChassis-1, NodesPerBlade-1) {
+		t.Errorf("FromNID(last row) = %v", got)
 	}
 }

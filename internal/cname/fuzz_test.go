@@ -36,6 +36,11 @@ func FuzzParse(f *testing.F) {
 	}
 	f.Add("")
 	f.Add("c-")
+	// The coordinate bounds: the first two parse, the rest do not.
+	for _, s := range []string{"c1048575-0", "c0-1048575", "c1048576-0", "c0-1048576",
+		"c0-0c3", "c0-0c0s16", "c0-0c0s0n4"} {
+		f.Add(s)
+	}
 	for _, s := range chaosSeeds("parse", valid) {
 		f.Add(s)
 	}

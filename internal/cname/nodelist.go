@@ -30,7 +30,7 @@ func CompressNodeList(nodes []Name) string {
 	// intermediate copy.
 	clean := true
 	for i, n := range nodes {
-		if n.level != LevelNode || (i > 0 && Compare(nodes[i-1], n) > 0) {
+		if n.Level() != LevelNode || (i > 0 && Compare(nodes[i-1], n) > 0) {
 			clean = false
 			break
 		}
@@ -39,7 +39,7 @@ func CompressNodeList(nodes []Name) string {
 	if !clean {
 		sorted = make([]Name, 0, len(nodes))
 		for _, n := range nodes {
-			if n.level == LevelNode {
+			if n.Level() == LevelNode {
 				sorted = append(sorted, n)
 			}
 		}
@@ -66,7 +66,7 @@ func CompressNodeList(nodes []Name) string {
 		j := i
 		idx = idx[:0]
 		for ; j < len(sorted) && sorted[j].BladeName() == blade; j++ {
-			if v := sorted[j].node; len(idx) == 0 || idx[len(idx)-1] != v {
+			if v := sorted[j].NodeIndex(); len(idx) == 0 || idx[len(idx)-1] != v {
 				idx = append(idx, v)
 			}
 		}
@@ -145,7 +145,6 @@ func ExpandNodeList(s string) ([]Name, error) {
 		if blade.Level() != LevelBlade {
 			return nil, fmt.Errorf("cname: node list prefix %q is not a blade", part[:br-1])
 		}
-		col, row, ch, sl := blade.Col(), blade.Row(), blade.ChassisIndex(), blade.SlotIndex()
 		// The bracket body is "0-2,5"-style ranges; expand in place.
 		body := part[br+1 : len(part)-1]
 		for ti := 0; ti <= len(body); {
@@ -167,7 +166,7 @@ func ExpandNodeList(s string) ([]Name, error) {
 					if v < 0 || v >= NodesPerBlade {
 						return nil, fmt.Errorf("cname: node index %d out of range in %q", v, part)
 					}
-					out = append(out, Node(col, row, ch, sl, v))
+					out = append(out, blade.onBlade(v))
 				}
 				continue
 			}
@@ -178,7 +177,7 @@ func ExpandNodeList(s string) ([]Name, error) {
 			if v < 0 || v >= NodesPerBlade {
 				return nil, fmt.Errorf("cname: node index %d out of range in %q", v, part)
 			}
-			out = append(out, Node(col, row, ch, sl, v))
+			out = append(out, blade.onBlade(v))
 		}
 	}
 	return out, nil

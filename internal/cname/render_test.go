@@ -12,18 +12,18 @@ import (
 // byte-for-byte.
 func stringRef(n Name) string {
 	var b strings.Builder
-	if n.level == LevelInvalid {
+	if n.Level() == LevelInvalid {
 		return "<invalid cname>"
 	}
-	fmt.Fprintf(&b, "c%d-%d", n.col, n.row)
-	if n.level >= LevelChassis {
-		fmt.Fprintf(&b, "c%d", n.chassis)
+	fmt.Fprintf(&b, "c%d-%d", n.Col(), n.Row())
+	if n.Level() >= LevelChassis {
+		fmt.Fprintf(&b, "c%d", n.ChassisIndex())
 	}
-	if n.level >= LevelBlade {
-		fmt.Fprintf(&b, "s%d", n.slot)
+	if n.Level() >= LevelBlade {
+		fmt.Fprintf(&b, "s%d", n.SlotIndex())
 	}
-	if n.level >= LevelNode {
-		fmt.Fprintf(&b, "n%d", n.node)
+	if n.Level() >= LevelNode {
+		fmt.Fprintf(&b, "n%d", n.NodeIndex())
 	}
 	return b.String()
 }
@@ -86,7 +86,7 @@ func TestStringMatchesReference(t *testing.T) {
 	}
 	for _, n := range names {
 		if got, want := n.String(), stringRef(n); got != want {
-			t.Errorf("String(%+v) = %q, want %q", n, got, want)
+			t.Errorf("String(%#x) = %q, want %q", n.Key(), got, want)
 		}
 	}
 	if got := (Name{}).String(); got != "<invalid cname>" {
@@ -94,22 +94,25 @@ func TestStringMatchesReference(t *testing.T) {
 	}
 }
 
-func TestCompareMatchesReference(t *testing.T) {
-	ref := func(a, b Name) int {
-		key := func(n Name) [6]int {
-			return [6]int{n.row, n.col, n.chassis, n.slot, n.node, int(n.level)}
-		}
-		ka, kb := key(a), key(b)
-		for i := range ka {
-			switch {
-			case ka[i] < kb[i]:
-				return -1
-			case ka[i] > kb[i]:
-				return 1
-			}
-		}
-		return 0
+// compareRef is the original field-wise Compare: row, col, chassis,
+// slot, node, level.
+func compareRef(a, b Name) int {
+	key := func(n Name) [6]int {
+		return [6]int{n.Row(), n.Col(), n.ChassisIndex(), n.SlotIndex(), n.NodeIndex(), int(n.Level())}
 	}
+	ka, kb := key(a), key(b)
+	for i := range ka {
+		switch {
+		case ka[i] < kb[i]:
+			return -1
+		case ka[i] > kb[i]:
+			return 1
+		}
+	}
+	return 0
+}
+
+func TestCompareMatchesReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
 	randName := func() Name {
 		switch rng.Intn(5) {
@@ -127,7 +130,7 @@ func TestCompareMatchesReference(t *testing.T) {
 	}
 	for trial := 0; trial < 2000; trial++ {
 		a, b := randName(), randName()
-		if got, want := Compare(a, b), ref(a, b); got != want {
+		if got, want := Compare(a, b), compareRef(a, b); got != want {
 			t.Fatalf("Compare(%v, %v) = %d, want %d", a, b, got, want)
 		}
 	}

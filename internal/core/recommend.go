@@ -195,16 +195,8 @@ func RecommendActions(res *Result) []NodeAction {
 		}
 	}
 	sort.SliceStable(out, func(i, j int) bool {
-		ki, iok := out[i].Node.Key()
-		kj, jok := out[j].Node.Key()
-		switch {
-		case iok && jok && ki != kj:
-			return ki < kj
-		case iok != jok:
-			return iok // valid names before invalid ones
-		}
-		if a, b := out[i].Node.String(), out[j].Node.String(); a != b {
-			return a < b
+		if c := cname.Compare(out[i].Node, out[j].Node); c != 0 {
+			return c < 0
 		}
 		if out[i].Kind != out[j].Kind {
 			return out[i].Kind < out[j].Kind

@@ -5,6 +5,8 @@ import (
 	"reflect"
 	"strings"
 	"testing"
+
+	"hpcfail/internal/cname"
 )
 
 func TestRecommendEmpty(t *testing.T) {
@@ -112,7 +114,8 @@ func ruleTopic(r Recommendation) string {
 }
 
 // TestRecommendActionsDeterministic checks the per-node action list is
-// sorted by (node, kind) and invariant under diagnosis shuffling.
+// sorted by (node in cname.Compare order, kind) and invariant under
+// diagnosis shuffling.
 func TestRecommendActionsDeterministic(t *testing.T) {
 	_, store := buildScenario(t, 14, 211)
 	res := Run(store, DefaultConfig())
@@ -121,13 +124,12 @@ func TestRecommendActionsDeterministic(t *testing.T) {
 		t.Fatal("scenario produced no node actions")
 	}
 	for i := 1; i < len(acts); i++ {
-		ki, _ := acts[i-1].Node.Key()
-		kj, _ := acts[i].Node.Key()
-		if ki > kj {
-			t.Fatalf("actions not sorted by node at %d: %s after %s",
+		c := cname.Compare(acts[i-1].Node, acts[i].Node)
+		if c > 0 {
+			t.Fatalf("actions not in cname order at %d: %s after %s",
 				i, acts[i].Node, acts[i-1].Node)
 		}
-		if ki == kj && acts[i-1].Kind > acts[i].Kind {
+		if c == 0 && acts[i-1].Kind > acts[i].Kind {
 			t.Fatalf("actions not sorted by kind within node %s: %q after %q",
 				acts[i].Node, acts[i].Kind, acts[i-1].Kind)
 		}

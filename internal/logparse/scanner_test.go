@@ -4,12 +4,8 @@ import (
 	"reflect"
 	"strings"
 	"testing"
-	"time"
 
-	"hpcfail/internal/chaos"
 	"hpcfail/internal/events"
-	"hpcfail/internal/faultsim"
-	"hpcfail/internal/loggen"
 	"hpcfail/internal/topology"
 )
 
@@ -28,11 +24,6 @@ func TestLineScannerMatchesSplit(t *testing.T) {
 	}
 	for _, in := range cases {
 		want := strings.Split(strings.TrimRight(in, "\n"), "\n")
-		got := SplitLines(in)
-		if !reflect.DeepEqual(got, want) {
-			t.Errorf("SplitLines(%q) = %q, want %q", in, got, want)
-		}
-		// The scanner itself must agree line by line.
 		sc := NewLineScanner(in)
 		var lines []string
 		for {
@@ -42,8 +33,8 @@ func TestLineScannerMatchesSplit(t *testing.T) {
 			}
 			lines = append(lines, l)
 		}
-		if len(lines) != len(want) && !(len(lines) == 0 && len(want) == 1 && want[0] == "") {
-			t.Errorf("scanner on %q yielded %d lines, want %d", in, len(lines), len(want))
+		if !reflect.DeepEqual(lines, want) {
+			t.Errorf("scanner on %q yielded %q, want %q", in, lines, want)
 		}
 	}
 }
@@ -77,89 +68,5 @@ func TestInternCanonical(t *testing.T) {
 	}
 	if canon["ec_hw_error"] == "" {
 		t.Fatal("ec_hw_error not in intern table")
-	}
-}
-
-// chunkLines renders one internal stream of a scenario with traces and
-// chaos damage mixed in, to stress safe-boundary selection.
-func chunkLines(t *testing.T, damage bool) []string {
-	t.Helper()
-	p, err := faultsim.DefaultProfile("S1")
-	if err != nil {
-		t.Fatal(err)
-	}
-	p.Spec = topology.Spec{ID: "S1", Nodes: 384, CabinetCols: 2, Scheduler: topology.SchedulerSlurm, Cray: true}
-	scn, err := faultsim.Generate(p, simStart, simStart.Add(2*24*time.Hour), 7)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var lines []string
-	for _, r := range scn.Records {
-		if r.Stream != events.StreamConsole {
-			continue
-		}
-		lines = append(lines, loggen.Render(r, topology.SchedulerSlurm)...)
-	}
-	if damage {
-		inj := chaos.New(chaos.Config{Garble: 0.05, Truncate: 0.05, Duplicate: 0.05, Seed: 11})
-		lines = inj.CorruptLines("console", lines)
-	}
-	return lines
-}
-
-func TestSafeChunksEquivalence(t *testing.T) {
-	for _, damage := range []bool{false, true} {
-		lines := chunkLines(t, damage)
-		wantRecs, wantErrs := ParseLines(events.StreamConsole, topology.SchedulerSlurm, lines)
-		for _, size := range []int{1, 7, 64, 1000, len(lines) + 10} {
-			chunks := SafeChunks(events.StreamConsole, lines, size)
-			total := 0
-			for _, c := range chunks {
-				if c.Start != total {
-					t.Fatalf("size %d: chunk start %d, want %d", size, c.Start, total)
-				}
-				total += len(c.Lines)
-			}
-			if total != len(lines) {
-				t.Fatalf("size %d: chunks cover %d of %d lines", size, total, len(lines))
-			}
-			var recs []events.Record
-			var errs []error
-			for _, c := range chunks {
-				r, e := ParseChunk(events.StreamConsole, topology.SchedulerSlurm, c)
-				recs = append(recs, r...)
-				errs = append(errs, e...)
-			}
-			if !reflect.DeepEqual(recs, wantRecs) {
-				t.Fatalf("damage=%v size %d: chunked parse produced %d records, sequential %d (or contents differ)",
-					damage, size, len(recs), len(wantRecs))
-			}
-			if len(errs) != len(wantErrs) {
-				t.Fatalf("damage=%v size %d: %d errors vs %d", damage, size, len(errs), len(wantErrs))
-			}
-			for i := range errs {
-				if errs[i].Error() != wantErrs[i].Error() {
-					t.Fatalf("damage=%v size %d: err %d: %v vs %v", damage, size, i, errs[i], wantErrs[i])
-				}
-			}
-		}
-	}
-}
-
-func TestSafeChunksTaggedStream(t *testing.T) {
-	// Line-independent formats may split anywhere; verify coverage and
-	// equivalence on a tagged stream too.
-	var lines []string
-	for i := 0; i < 100; i++ {
-		lines = append(lines, "2015-03-02T10:00:00.000000Z c0-0c0s1 bcsysd: ec_hw_error WARNING fault |sensor=VDD")
-	}
-	want, _ := ParseLines(events.StreamControllerBC, topology.SchedulerSlurm, lines)
-	var got []events.Record
-	for _, c := range SafeChunks(events.StreamControllerBC, lines, 13) {
-		r, _ := ParseChunk(events.StreamControllerBC, topology.SchedulerSlurm, c)
-		got = append(got, r...)
-	}
-	if !reflect.DeepEqual(got, want) {
-		t.Fatal("tagged-stream chunked parse diverged")
 	}
 }

@@ -143,15 +143,7 @@ func (x *posIndex[K]) get(k K) []uint32 {
 // Shard hashes: any function of the key will do, as long as every bit
 // of the key reaches the low bits that pick the shard.
 
-func hashName(n cname.Name) uint32 {
-	k, ok := n.Key()
-	if !ok {
-		// Coordinates outside 12 bits; never produced by the simulated
-		// topologies. The canonical string is as injective as the name.
-		return hashString(n.String())
-	}
-	return hashInt64(int64(k))
-}
+func hashName(n cname.Name) uint32 { return hashInt64(int64(n.Key())) }
 
 func hashInt64(v int64) uint32 { // splitmix64 finalizer
 	x := uint64(v)
@@ -225,8 +217,8 @@ func buildIndex[K comparable](recs []events.Record, hash func(K) uint32, key fun
 	return idx
 }
 
-// posAcc accumulates one cname-keyed index family using packed one-word
-// cname.Key hashes instead of six-field struct hashes.
+// posAcc accumulates one cname-keyed index family, keyed by the name's
+// word.
 type posAcc struct {
 	idx   map[uint64]int32
 	slots []posSlot
@@ -239,23 +231,16 @@ type posSlot struct {
 	cur   int
 }
 
-// count tallies one occurrence of k. It reports false when k doesn't
-// pack (coordinates outside 12 bits — never produced by the simulated
-// topologies), signalling the caller to fall back to struct hashing.
-func (a *posAcc) count(k cname.Name) bool {
-	pk, ok := k.Key()
-	if !ok {
-		return false
-	}
-	si, seen := a.idx[pk]
+// count tallies one occurrence of k.
+func (a *posAcc) count(k cname.Name) {
+	si, seen := a.idx[k.Key()]
 	if !seen {
 		si = int32(len(a.slots))
 		a.slots = append(a.slots, posSlot{name: k})
-		a.idx[pk] = si
+		a.idx[k.Key()] = si
 	}
 	a.slots[si].count++
 	a.total++
-	return true
 }
 
 // layout allocates the family slab and assigns per-key offsets.
@@ -270,8 +255,7 @@ func (a *posAcc) layout() []uint32 {
 
 // fill places one position into its key's region of the slab.
 func (a *posAcc) fill(slab []uint32, k cname.Name, pos uint32) {
-	pk, _ := k.Key()
-	si := a.idx[pk]
+	si := a.idx[k.Key()]
 	c := a.slots[si].cur
 	slab[c] = pos
 	a.slots[si].cur = c + 1
@@ -318,15 +302,13 @@ func buildComponentIndexes(recs []events.Record) (byNode, byBlade, byCabinet pos
 		if !c.IsValid() {
 			continue
 		}
-		if c.Level() == cname.LevelNode && !nodeAcc.count(c) {
-			return componentIndexFallback(recs)
+		if c.Level() == cname.LevelNode {
+			nodeAcc.count(c)
 		}
-		if b := c.BladeName(); b.IsValid() && !bladeAcc.count(b) {
-			return componentIndexFallback(recs)
+		if b := c.BladeName(); b.IsValid() {
+			bladeAcc.count(b)
 		}
-		if !cabAcc.count(c.CabinetName()) {
-			return componentIndexFallback(recs)
-		}
+		cabAcc.count(c.CabinetName())
 	}
 	nodeSlab, bladeSlab, cabSlab := nodeAcc.layout(), bladeAcc.layout(), cabAcc.layout()
 	for i := range recs {
@@ -343,11 +325,6 @@ func buildComponentIndexes(recs []events.Record) (byNode, byBlade, byCabinet pos
 		cabAcc.fill(cabSlab, c.CabinetName(), uint32(i))
 	}
 	return nodeAcc.index(nodeSlab), bladeAcc.index(bladeSlab), cabAcc.index(cabSlab)
-}
-
-// componentIndexFallback is the struct-hashed path for unpackable names.
-func componentIndexFallback(recs []events.Record) (byNode, byBlade, byCabinet posIndex[cname.Name]) {
-	return buildIndex(recs, hashName, nodeKey), buildIndex(recs, hashName, bladeKey), buildIndex(recs, hashName, cabinetKey)
 }
 
 // newFromSorted builds the secondary indexes over records that are
